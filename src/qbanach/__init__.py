@@ -4,7 +4,8 @@ a fixed-point iteration engine with certified error bounds, the radical
 functional equation's continuous solution family, and end-to-end
 hyperstability experiments."""
 
-from .envelope import EnvelopeResult, check_p_triangle, envelope_norm, theta
+from .envelope import (EnvelopeResult, check_p_triangle, envelope_norm, envelope_norm_rows,
+                       theta)
 from .fixedpoint import (Branch, IterationSpec, ScalarErrorFn, apply_Lambda, apply_T,
                          check_uniqueness_condition, epsilon_star, geometric_bound,
                          iterate, load_sample_grid)

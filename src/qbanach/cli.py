@@ -11,7 +11,7 @@ keys) so identical config + seed gives byte-identical output apart from the
 the worker count used for independent per-index computations.
 
 Exit codes: 0 all checks passed, 2 completed with violations, 1 operational
-error.
+error (a numeric failure such as an overflow included).
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hyperstab as hs
-from .envelope import check_p_triangle, envelope_norm
+from .envelope import check_p_triangle, envelope_norm_rows
 from .fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate, load_sample_grid
 from .radical import (EquationParams, NoExactSolutionError, VectorFunction,
                       admissibility, check_structure, make_solution, residual)
-from .spaces import check_axioms, estimate_kappa, eval_norm, space_from_dict
+from .spaces import check_axioms, estimate_kappa, eval_norm_rows, space_from_dict
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config",
            "run", "emit_csv", "main", "COMMANDS", "json_schema", "SCHEMAS"]
@@ -442,18 +442,18 @@ def _run_check_space(payload, seed):
 def _run_envelope(payload, seed):
     space = space_from_dict(payload["space"])
     budget = payload["budget"]
+    n_samples = payload["certificate_samples"]
     rng = np.random.default_rng(seed)
+    # same stream as drawing x, then z, sample by sample
+    XZ = rng.uniform(-5.0, 5.0, (n_samples, 2, space.dim))
+    X, Z = XZ[:, 0], XZ[:, 1]
+    results = envelope_norm_rows(space, X, Z, budget, [seed + i for i in range(n_samples)])
     cert_failures = 0
     worst_gap = 0.0
-    n_samples = payload["certificate_samples"]
-    for i in range(n_samples):
-        x = rng.uniform(-5.0, 5.0, space.dim)
-        z = rng.uniform(-5.0, 5.0, space.dim)
-        res = envelope_norm(space, x, z, budget, seed + i)
+    for x, base, res in zip(X, eval_norm_rows(space, X, Z).tolist(), results):
         parts = np.asarray(res.certificate)
         gap = float(np.abs(parts.sum(axis=0) - x).max())
         worst_gap = max(worst_gap, gap)
-        base = eval_norm(space, x, z)
         if gap > 1e-9 * (1.0 + np.abs(x).max()) or res.value > base + 1e-12 * (1.0 + base):
             cert_failures += 1
     tri = check_p_triangle(space, payload["trials"], seed, budget=budget)
@@ -482,6 +482,12 @@ def _run_fixed_point(payload, seed):
     return body, 0 if report.converged else 2
 
 
+# solve draws at most this many (x, y) pairs per requested admissible pair;
+# a grid whose pairs all sit on the excluded diagonal would otherwise never end
+_ATTEMPTS_PER_PAIR = 10
+_GRID_ROWS = 1000  # sampled pairs listed in the solve report
+
+
 def _run_solve(payload, seed):
     eq = EquationParams.from_dict(payload["equation"])
     try:
@@ -491,28 +497,36 @@ def _run_solve(payload, seed):
                 "failed_constraints": exc.failed}, 2
     structure = check_structure(eq, f, payload["grid"], payload["tol"])
     rng = np.random.default_rng(seed)
+    wanted = payload["residual_pairs"]
     sup_res = 0.0
     used = 0
+    attempts = 0
     grid_rows = []
     lo, hi = min(map(abs, payload["grid"])), max(map(abs, payload["grid"]))
-    while used < payload["residual_pairs"]:
+    while used < wanted and attempts < _ATTEMPTS_PER_PAIR * wanted:
+        attempts += 1
         x = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
         y = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
-        if not admissibility(eq, x, y)[0]:
-            grid_rows.append({"x": x, "y": y, "residual_norm": None,
-                              "gamma": None, "admissible": False})
-            continue
-        used += 1
-        rv = residual(eq, f, x, y)
-        rnorm = float(np.linalg.norm(rv))
-        grid_rows.append({"x": x, "y": y, "residual_norm": rnorm,
-                          "gamma": None, "admissible": True})
-        scale = max(abs(x), abs(y)) ** (2 * eq.root_n)
-        sup_res = max(sup_res, float(np.abs(rv).max()) / max(scale, 1e-300))
+        row = {"x": x, "y": y, "residual_norm": None, "gamma": None, "admissible": False}
+        if admissibility(eq, x, y)[0]:
+            used += 1
+            rv = residual(eq, f, x, y)
+            row.update(residual_norm=float(np.linalg.norm(rv)), admissible=True)
+            scale = max(abs(x), abs(y)) ** (2 * eq.root_n)
+            sup_res = max(sup_res, float(np.abs(rv).max()) / max(scale, 1e-300))
+        if len(grid_rows) < _GRID_ROWS:
+            grid_rows.append(row)
     body = {"equation": eq.to_dict(), "solution": f.to_dict(),
             "structure": structure.to_dict(), "sup_residual_scaled": sup_res,
-            "residual_pairs": used, "residual_grid": grid_rows[:1000]}
+            "residual_pairs": used, "residual_grid": grid_rows}
     ok = structure.passed(payload["tol"]) and sup_res <= 1e-9
+    if used < wanted:
+        # the sampler gave up: a residual over too few pairs proves nothing
+        body["violations"] = [{
+            "name": "no admissible pairs" if used == 0 else "too few admissible pairs",
+            "requested_pairs": wanted, "admissible_pairs": used,
+            "rejected_pairs": attempts - used}]
+        ok = False
     return body, 0 if ok else 2
 
 
@@ -614,6 +628,12 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
         body, code = _RUNNERS[config.command](config.payload, config.seed)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # overflow / division by zero in the numeric path: no report is written
+        name = config.command.lower().replace("_", "-")
+        print(f"error: {name}: numeric failure ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -163,15 +163,32 @@ def scaled_space(base: SpaceDescriptor, factor: float) -> SpaceDescriptor:
     )
 
 
+def _cross_rows(X, Y):
+    """Components of the row-wise 3-D cross product ``X x Y``.
+
+    Written out component by component with the same products and
+    differences as ``np.cross`` (so bit-identical to it), without its axis
+    handling, which dominates the cost on arrays of a few rows.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.shape[-1] != 3 or Y.shape[-1] != 3:
+        raise ValueError("the cross product is defined on R^3 (dim 3)")
+    x0, x1, x2 = X[..., 0], X[..., 1], X[..., 2]
+    y0, y1, y2 = Y[..., 0], Y[..., 1], Y[..., 2]
+    return x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+
+
 def eval_norm_rows(space: SpaceDescriptor, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Vectorized norm evaluation over paired rows of (n, dim) arrays."""
+    # component sums run left to right, as numpy's sum over a length-3 axis does
     if space.family == "CROSS_2NORM":
-        c = np.cross(X, Y)
-        return np.sqrt((c * c).sum(axis=-1))
+        c0, c1, c2 = _cross_rows(X, Y)
+        return np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     if space.family == "LP_CROSS":
-        c = np.abs(np.cross(X, Y))
+        c0, c1, c2 = _cross_rows(X, Y)
         p = space.p
-        return (c ** p).sum(axis=-1) ** (1.0 / p)
+        return (np.abs(c0) ** p + np.abs(c1) ** p + np.abs(c2) ** p) ** (1.0 / p)
     if space.family == "POWERED":
         return eval_norm_rows(space.base, X, Y) ** space.beta
     if space.family == "SCALED":

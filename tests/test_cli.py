@@ -244,3 +244,40 @@ def test_docs_schemas_in_sync():
         with open(path) as fh:
             shipped = json.load(fh)
         assert shipped == json_schema(cmd), f"docs schema stale for {cmd}"
+
+
+def test_solve_with_no_admissible_pairs_stops_with_violation(tmp_path):
+    # |x| = |y| = 1 and a = b: every pair lies on the excluded diagonal
+    cfg = parse_config(make_config(
+        "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}, "grid": [1.0]}))
+    code = run(cfg, out_dir=str(tmp_path))
+    assert code == 2
+    report = json.loads((tmp_path / "solve_report.json").read_text())["report"]
+    assert report["residual_pairs"] == 0
+    (violation,) = report["violations"]
+    assert violation["name"] == "no admissible pairs"
+    assert violation["admissible_pairs"] == 0
+    assert violation["rejected_pairs"] == 10 * cfg.payload["residual_pairs"]
+    assert len(report["residual_grid"]) == 1000
+
+
+def test_solve_with_all_pairs_admissible_has_no_violations(tmp_path):
+    cfg = parse_config(make_config(
+        "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0},
+                  "residual_pairs": 50}))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    report = json.loads((tmp_path / "solve_report.json").read_text())["report"]
+    assert report["residual_pairs"] == 50
+    assert "violations" not in report
+
+
+def test_solve_overflow_exits_1_without_traceback(tmp_path, capsys):
+    cfg = parse_config(make_config(
+        "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0},
+                  "grid": [1.0, 1e120]}))
+    code = run(cfg, out_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: solve: ")
+    assert "OverflowError" in err and "Traceback" not in err
+    assert not (tmp_path / "solve_report.json").exists()

@@ -176,3 +176,44 @@ def test_trials_validation():
         check_axioms(cross_2norm(), 0, seed=0)
     with pytest.raises(ValueError):
         estimate_kappa(cross_2norm(), 0, seed=0)
+
+
+def _np_cross_norm_rows(space, X, Y):
+    """Reference kernel on np.cross (the formulas eval_norm_rows replaced)."""
+    if space.family == "CROSS_2NORM":
+        c = np.cross(X, Y)
+        return np.sqrt((c * c).sum(axis=-1))
+    if space.family == "LP_CROSS":
+        c = np.abs(np.cross(X, Y))
+        return (c ** space.p).sum(axis=-1) ** (1.0 / space.p)
+    if space.family == "POWERED":
+        return _np_cross_norm_rows(space.base, X, Y) ** space.beta
+    return space.factor * _np_cross_norm_rows(space.base, X, Y)
+
+
+def test_eval_norm_rows_bit_identical_to_np_cross_reference():
+    from qbanach.spaces import eval_norm_rows
+    rng = np.random.default_rng(2)
+    n = 200_000
+    X = rng.uniform(-10.0, 10.0, (n, 3))
+    Y = rng.uniform(-10.0, 10.0, (n, 3))
+    X[::7, 1] = 0.0
+    Y[::11, 2] = -0.0
+    Y[::13] = 2.0 * X[::13]
+    X[::17] *= 1e-8
+    spaces = [cross_2norm(), lp_cross(0.5), lp_cross(0.4), lp_cross(1.0),
+              power_space(lp_cross(0.4), 0.3), scaled_space(lp_cross(0.5), 3.0)]
+    for s in spaces:
+        got = eval_norm_rows(s, X, Y)
+        assert np.array_equal(got.view(np.int64), _np_cross_norm_rows(s, X, Y).view(np.int64))
+        # few rows and a broadcast second argument, as the envelope search calls it
+        for m in (1, 2, 5):
+            Yb = np.broadcast_to(Y[m], (m, 3))
+            assert np.array_equal(eval_norm_rows(s, X[:m], Yb).view(np.int64),
+                                  _np_cross_norm_rows(s, X[:m], Yb).view(np.int64))
+
+
+def test_eval_norm_rows_rejects_non_3_vectors():
+    from qbanach.spaces import eval_norm_rows
+    with pytest.raises(ValueError):
+        eval_norm_rows(cross_2norm(), np.ones((2, 4)), np.ones((2, 4)))
