@@ -7,8 +7,7 @@ One command per invocation::
 Commands: check-space, envelope, fixed-point, solve, hyperstab.  Reports are
 written atomically (temp file + rename); the JSON body is canonical (sorted
 keys) so identical config + seed gives byte-identical output apart from the
-``metadata`` block, which carries the timestamp.  ``HYPERSTAB_THREADS`` caps
-the worker count used for independent per-index computations.
+``metadata`` block, which carries the timestamp.
 
 Exit codes: 0 all checks passed, 2 completed with violations, 1 operational
 error (a numeric failure such as an overflow included).
@@ -535,8 +534,7 @@ def _run_hyperstab(payload, seed):
     d.setdefault("aux_space", d["space"])
     d["seed"] = seed
     cfg = hs.ExperimentConfig.from_dict(d)
-    workers = max(1, int(os.environ.get("HYPERSTAB_THREADS", "1")))
-    report = hs.run_experiment(cfg, max_workers=workers)
+    report = hs.run_experiment(cfg)
     ok = report.feasible and all(
         rec["bound_satisfied"] and rec["qm"]["converged"] for rec in report.per_m)
     return report.to_dict(), 0 if ok else 2

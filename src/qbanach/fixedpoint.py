@@ -15,13 +15,16 @@ Power-form error functions ``sum_j c_j |x|^{s_j}`` are closed under Lambda
 (each term is rescaled by ``rho_s = sum_i L_i |scale_i|^s``), which gives a
 closed form for the iterated error series.  The iteration itself runs either
 through exact per-term multipliers (for functions given as signed-power term
-sums) or through memoized recursion on the multiplicative orbit of the sample
-points.
+sums) or, for any other callable, level by level over the multiplicative
+orbit of the sample points: the branch scalings commute, so T^n expands into
+C(n+j-1, j-1) multinomial terms for j branches, and N iterations take
+O(N^j) time and hold O(N^(j-1)) values.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -48,6 +51,11 @@ __all__ = [
     "check_uniqueness_condition",
     "load_sample_grid",
 ]
+
+# Cap on the terms of the deepest level, C(n_max + j - 1, j - 1), that
+# ``iterate`` expands for a callable phi with j branches; each term costs one
+# phi call per sample.  The default n_max = 200 with 3 branches needs 20,301.
+MAX_ORBIT_TERMS = 50_000
 
 
 @dataclass(frozen=True)
@@ -396,55 +404,80 @@ def _iterate_terms(spec: IterationSpec, phi: VectorFunction, sample_xs, witnesse
     return psi, n_done, converged
 
 
-def _iterate_generic(spec: IterationSpec, phi, sample_xs, witnesses, tol: float, n_max: int):
-    """Memoized recursion on the multiplicative orbit of each sample point.
+def _multinomial_terms(coefs: Sequence[float], n: int):
+    """The terms of T^n for commuting scale branches with coefficients ``coefs``.
 
-    The branch scalings commute, so orbit points are indexed by exponent
-    tuples; values of T^n phi are cached per (n, exponent tuple).
+    Returns ``(E, coeffs)``: the rows of the integer array ``E`` are the
+    tuples of ``len(coefs)`` nonnegative integers summing to ``n``, in
+    lexicographic order, and ``coeffs[r] = multinomial(n; E[r]) *
+    prod_i coefs[i]**E[r, i]`` (a list of floats).  The magnitude is ``exp``
+    of a log-magnitude built from ``lgamma`` with the sign kept apart, so
+    large orders do not overflow before the coefficient powers shrink them;
+    a zero coefficient gives exact zeros on its branch.  ``exp`` is the scalar
+    ``math.exp`` (numpy's vector exp may round differently).
     """
-    j = len(spec.branches)
-    scales = [br.scale for br in spec.branches]
-    coefs = [br.coef for br in spec.branches]
+    j = len(coefs)
+    count = math.comb(n + j - 1, j - 1)
+    # stars and bars: ascending positions of j - 1 bars among n + j - 1 slots
+    # give the exponent tuples in lexicographic order
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n + j - 1), j - 1)), dtype=np.int64, count=count * (j - 1))
+    edges = np.hstack([np.full((count, 1), -1), bars.reshape(count, j - 1),
+                       np.full((count, 1), n + j - 1)])
+    E = np.diff(edges, axis=1) - 1
+    lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    logmag = np.full(count, lg[n])
+    for col in E.T:
+        logmag -= lg[col]
+    odd = np.zeros(count, dtype=np.int64)
+    for col, c in zip(E.T, coefs):
+        if c == 0.0:
+            logmag[col > 0] = -math.inf
+        else:
+            logmag += col * math.log(abs(c))
+        if c < 0.0:
+            odd += col
+    signs = (1 - 2 * (odd % 2)).tolist()
+    return E, [sg * math.exp(v) for sg, v in zip(signs, logmag.tolist())]
 
-    def make_evaluator(x0: float):
-        point_cache: dict = {}
-        val_cache: dict = {}
 
-        def point(e):
-            if e not in point_cache:
-                p = x0
-                for s, k in zip(scales, e):
-                    p *= s ** k
-                point_cache[e] = p
-            return point_cache[e]
+def _orbit_level(spec: IterationSpec, phi, n: int, sample_xs) -> dict:
+    """(T^n phi)(x) at every sample x, from phi on the level-n orbit points."""
+    E, coeffs = _multinomial_terms([br.coef for br in spec.branches], n)
+    products = np.prod(np.array([br.scale for br in spec.branches]) ** E, axis=1)
+    weights = np.array(coeffs)[:, None]
+    out = {}
+    for x in sample_xs:
+        terms = weights * np.array([_call_fn(phi, p) for p in (products * x).tolist()])
+        out[x] = np.array([math.fsum(col) for col in terms.T.tolist()])
+    return out
 
-        def value(n, e):
-            key = (n, e)
-            if key in val_cache:
-                return val_cache[key]
-            if n == 0:
-                v = _call_fn(phi, point(e))
-            else:
-                v = None
-                for i in range(j):
-                    e2 = list(e)
-                    e2[i] += 1
-                    contrib = coefs[i] * value(n - 1, tuple(e2))
-                    v = contrib if v is None else v + contrib
-            val_cache[key] = v
-            return v
 
-        return value
+def _iterate_generic(spec: IterationSpec, phi, phi_at: dict, sample_xs, witnesses,
+                     tol: float, n_max: int):
+    """Level-by-level iteration on the multiplicative orbit of each sample.
 
-    evaluators = {x: make_evaluator(x) for x in sample_xs}
-    zero = tuple([0] * j)
-    prev = {x: evaluators[x](0, zero) for x in sample_xs}
+    The branch scalings commute, so with j branches
+
+        (T^n phi)(x) = sum_{|e| = n} multinomial(n; e) prod_i coef_i^e_i
+                       * phi(x prod_i scale_i^e_i)
+
+    over the C(n+j-1, j-1) exponent tuples e.  Each level's weights and
+    scale products are built once and shared by the samples, phi is called
+    once per orbit point, and every component is summed with ``math.fsum``
+    (as ``ExpansionTable.apply`` does).  Only one level is held at a time:
+    N iterations take O(N^j) time and O(N^(j-1)) memory.  ``phi_at`` holds
+    phi at the samples (level 0).
+
+    Returns psi = T^{n*} phi, its residual partner T^{n*+1} phi (level
+    n*+1, whose points are the branch shifts of psi's orbit, each evaluated
+    once), the iteration count n* and the convergence flag.
+    """
+    prev = phi_at
     streak = 0
     n_done = 0
-    converged = False
-    psi_level = 0
     for n in range(1, n_max + 1):
-        cur = {x: evaluators[x](n, zero) for x in sample_xs}
+        cur = _orbit_level(spec, phi, n, sample_xs)
         step = 0.0
         for x in sample_xs:
             delta = cur[x] - prev[x]
@@ -452,24 +485,10 @@ def _iterate_generic(spec: IterationSpec, phi, sample_xs, witnesses, tol: float,
                 step = max(step, eval_norm(spec.space, delta, y))
         prev = cur
         n_done = n
-        psi_level = n
         streak = streak + 1 if step < tol else 0
         if streak >= 3:
-            converged = True
             break
-
-    # values of T^{n*} phi at the level-1 orbit points: combining them with the
-    # branch coefficients gives T^{n*+1} phi(x), the honest residual partner
-    # of psi = T^{n*} phi (one level lower would reproduce psi identically)
-    first_level = {}
-    for x in sample_xs:
-        vals = []
-        for i in range(j):
-            e = [0] * j
-            e[i] = 1
-            vals.append(evaluators[x](psi_level, tuple(e)))
-        first_level[x] = vals
-    return prev, first_level, n_done, converged
+    return prev, _orbit_level(spec, phi, n_done + 1, sample_xs), n_done, streak >= 3
 
 
 def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[float],
@@ -479,27 +498,32 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
     Convergence requires three consecutive sup-steps (over samples and
     witnesses, measured in the space norm) below ``tol``.  The report records
     the fixed-point residual, the theta-powered deviation bound entries and
-    the smallest constant K that satisfies them on the samples.
+    the smallest constant K that satisfies them on the samples.  A callable
+    phi (not a ``VectorFunction``) whose level ``n_max`` has more than
+    ``MAX_ORBIT_TERMS`` terms is refused with ``ValueError`` before phi is
+    called.
     """
     if any(x == 0.0 for x in sample_xs):
         raise ValueError("sample points must avoid 0")
     witnesses = [_as_vector(w, spec.space.dim) for w in witnesses]
     th = spec.theta
+    generic = not isinstance(phi, VectorFunction)
+    if generic:
+        j = len(spec.branches)
+        terms = math.comb(n_max + j - 1, j - 1)
+        if terms > MAX_ORBIT_TERMS:
+            raise ValueError(
+                f"callable phi with {j} branches at n_max = {n_max} needs {terms} orbit "
+                f"terms at its deepest level, over the cap MAX_ORBIT_TERMS = {MAX_ORBIT_TERMS}")
+    phi_at = {x: _call_fn(phi, x) for x in sample_xs}
 
-    if isinstance(phi, VectorFunction):
+    if generic:
+        psi_at, tpsi_at, iterations, converged = _iterate_generic(
+            spec, phi, phi_at, sample_xs, witnesses, tol, n_max)
+    else:
         psi, iterations, converged = _iterate_terms(spec, phi, sample_xs, witnesses, tol, n_max)
         psi_at = {x: psi(x) for x in sample_xs}
         tpsi_at = {x: apply_T(spec, psi, x) for x in sample_xs}
-    else:
-        psi_at, first_level, iterations, converged = _iterate_generic(
-            spec, phi, sample_xs, witnesses, tol, n_max)
-        tpsi_at = {}
-        for x in sample_xs:
-            total = None
-            for br, v in zip(spec.branches, first_level[x]):
-                contrib = br.coef * v
-                total = contrib if total is None else total + contrib
-            tpsi_at[x] = total
 
     sup_residual = 0.0
     for x in sample_xs:
@@ -513,9 +537,8 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
     for x in sample_xs:
         star = epsilon_star(spec, eps, x, th)
         eps_star_ok = eps_star_ok and star.converged
-        phi_x = _call_fn(phi, x)
         for wi, y in enumerate(witnesses):
-            dev = eval_norm(spec.space, phi_x - psi_at[x], y) ** th
+            dev = eval_norm(spec.space, phi_at[x] - psi_at[x], y) ** th
             weight = eps.weight(y) ** th if eps.weight is not None else 1.0
             star_xy = star.value * weight
             if star_xy > 0 and math.isfinite(star_xy):

@@ -29,7 +29,6 @@ exact rational, so the check is free of rounding.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -37,6 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .envelope import theta
+from .fixedpoint import Branch, IterationSpec, _multinomial_terms
 from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction,
                       admissibility, make_solution, real_root, residual)
 from .spaces import SpaceDescriptor, _as_vector, eval_norm, space_from_dict
@@ -383,22 +383,9 @@ def expand_T_power(eq: EquationParams, m: int, n: int) -> ExpansionTable:
     if m < 2:
         raise ValueError("m must be >= 2")
     u, v, w = sequences(eq.a, eq.b, m, eq.root_n)
-    log_c = math.log(abs(eq.c))
-    log_d = math.log(abs(eq.d))
-    sgn_c = math.copysign(1.0, eq.c)
-    sgn_d = math.copysign(1.0, eq.d)
-    entries = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            k = n - i - j
-            logmag = (math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(j + 1)
-                      - math.lgamma(k + 1) + i * log_c + j * log_d)
-            sign = (sgn_c ** (i % 2)) * (sgn_d ** (j % 2)) * (-1.0) ** (k % 2)
-            entries.append(ExpansionEntry(
-                i=i, j=j, k=k,
-                coeff=sign * math.exp(logmag),
-                scale=(u ** i) * (v ** j) * (w ** k),
-            ))
+    E, coeffs = _multinomial_terms((eq.c, eq.d, -1.0), n)
+    entries = [ExpansionEntry(i=i, j=j, k=k, coeff=coeff, scale=(u ** i) * (v ** j) * (w ** k))
+               for (i, j, k), coeff in zip(E.tolist(), coeffs)]
     return ExpansionTable(eq=eq, m=m, n=n, entries=entries)
 
 
@@ -410,7 +397,6 @@ def sextic_defect(eq: EquationParams, m: int) -> float:
 def radical_iteration_spec(eq: EquationParams, m: int, space: SpaceDescriptor):
     """The scale-branch spec of the substituted radical operator T_m, carrying
     exact n-th power hints so eigen-multipliers stay exact in fp."""
-    from .fixedpoint import Branch, IterationSpec
     u, v, w = sequences(eq.a, eq.b, m, eq.root_n)
     return IterationSpec(
         [Branch(scale=u, coef=eq.c, kappa_exp=1),
@@ -680,7 +666,7 @@ def _consistency_scan(eq: EquationParams, f, model: ErrorModel, grid, witnesses,
     return {"max_residual_gamma_ratio": max_ratio, "exceeds_gamma": max_ratio > 1.0}
 
 
-def run_experiment(config: ExperimentConfig, max_workers: int = 1) -> HyperstabReport:
+def run_experiment(config: ExperimentConfig) -> HyperstabReport:
     """Full hyperstability pipeline: feasible set, Q_m recovery, residual and
     deviation-bound verification, and the near-diagonal consistency probe."""
     warnings = []
@@ -759,11 +745,7 @@ def run_experiment(config: ExperimentConfig, max_workers: int = 1) -> HyperstabR
             "bound_satisfied": all(e["satisfied"] for e in entries),
         }
 
-    if max_workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_m = list(pool.map(process, selected))
-    else:
-        per_m = [process(m) for m in selected]
+    per_m = [process(m) for m in selected]
 
     trend = [{"m": rec["m"], "sup_f_minus_Qm": rec["sup_f_minus_Qm"]} for rec in per_m]
     consistency = _consistency_scan(eq, f, config.model, config.grid, witnesses, space)

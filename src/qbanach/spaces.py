@@ -100,6 +100,11 @@ class SpaceDescriptor:
         if self.family == "SCALED":
             if self.base is None or self.factor is None or self.factor <= 0:
                 raise ValueError("SCALED requires a base space and factor C > 0")
+        # the samplers draw vectors of ``dim`` entries and the norm evaluates
+        # them in the base space, so the two must agree
+        if self.base is not None and self.base.dim != self.dim:
+            raise ValueError(f"{self.family} dim {self.dim} differs from its base's "
+                             f"dim {self.base.dim}")
 
     def to_dict(self) -> dict:
         d = {"family": self.family, "dim": self.dim, "beta": self.beta, "kappa": self.kappa}

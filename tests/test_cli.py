@@ -215,20 +215,6 @@ def test_main_subprocess_round(tmp_path):
     assert (tmp_path / "check_space_report.json").exists()
 
 
-def test_hyperstab_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYPERSTAB_THREADS", "3")
-    cfg = parse_config(make_config("HYPERSTAB", REFERENCE_HYPERSTAB_PAYLOAD, seed=11))
-    assert run(cfg, out_dir=str(tmp_path / "threaded")) == 0
-    monkeypatch.setenv("HYPERSTAB_THREADS", "1")
-    cfg = parse_config(make_config("HYPERSTAB", REFERENCE_HYPERSTAB_PAYLOAD, seed=11))
-    assert run(cfg, out_dir=str(tmp_path / "serial")) == 0
-    d1 = json.loads((tmp_path / "threaded" / "hyperstab_report.json").read_text())
-    d2 = json.loads((tmp_path / "serial" / "hyperstab_report.json").read_text())
-    d1.pop("metadata")
-    d2.pop("metadata")
-    assert d1 == d2
-
-
 def test_main_reports_config_errors(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(

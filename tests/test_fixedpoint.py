@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qbanach.fixedpoint import (Branch, IterationSpec, ScalarErrorFn, apply_Lambda,
-                                apply_T, check_uniqueness_condition, epsilon_star,
-                                geometric_bound, iterate, load_sample_grid)
+from qbanach.fixedpoint import (MAX_ORBIT_TERMS, Branch, IterationSpec, ScalarErrorFn,
+                                apply_Lambda, apply_T, check_uniqueness_condition,
+                                epsilon_star, geometric_bound, iterate, load_sample_grid)
 from qbanach.hyperstab import radical_iteration_spec, sequences
 from qbanach.radical import EquationParams, Term, VectorFunction
-from qbanach.spaces import cross_2norm
+from qbanach.spaces import cross_2norm, eval_norm
 
 E1 = np.array([1.0, 0.0, 0.0])
 WITNESSES = [np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
@@ -211,6 +211,109 @@ def test_iterate_generic_path_single_branch():
     for x in samples:
         # fixed point of 0.5 f(2x) seeded from x + 0.3 is the identity line
         assert np.abs(np.array(rep.psi_values[x]) - np.array([x, 0, 0])).max() <= 1e-10
+
+
+def memo_orbit_values(spec, phi, x0, n_top):
+    """Reference T^n phi(x0), n = 0..n_top, by memoized recursion over
+    (level, exponent tuple) on the multiplicative orbit of x0:
+    T^n phi(x0 * p_e) = sum_i coef_i T^(n-1) phi(x0 * p_e * scale_i)."""
+    cache = {}
+
+    def value(n, e):
+        if (n, e) not in cache:
+            if n == 0:
+                p = x0
+                for br, k in zip(spec.branches, e):
+                    p *= br.scale ** k
+                cache[n, e] = np.asarray(phi(p), dtype=float)
+            else:
+                cache[n, e] = sum(br.coef * value(n - 1, e[:i] + (e[i] + 1,) + e[i + 1:])
+                                  for i, br in enumerate(spec.branches))
+        return cache[n, e]
+
+    zero = (0,) * len(spec.branches)
+    return [value(n, zero) for n in range(n_top + 1)]
+
+
+def orbit_budget(n_star, j):
+    """phi calls per sample for psi = T^{n*} phi and its partner T^{n*+1} phi."""
+    return sum(math.comb(n + j - 1, j - 1) for n in range(n_star + 2))
+
+
+class CountingPhi:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+ORACLE_SPECS = [
+    [Branch(scale=-1.5, coef=0.7)],
+    [Branch(scale=2.0, coef=0.5), Branch(scale=-0.5, coef=-0.3)],
+    [Branch(scale=1.3, coef=0.4), Branch(scale=-0.7, coef=-0.6), Branch(scale=0.9, coef=0.0)],
+    [Branch(scale=1.1, coef=0.5), Branch(scale=-1.2, coef=0.25),
+     Branch(scale=0.8, coef=-0.35), Branch(scale=-0.6, coef=0.2)],
+]
+
+
+@pytest.mark.parametrize("branches", ORACLE_SPECS, ids=lambda b: f"j{len(b)}")
+@pytest.mark.parametrize("n_max", [0, 1, 3, 8])
+def test_iterate_generic_path_matches_memo_oracle(branches, n_max):
+    spec = IterationSpec(branches, cross_2norm())
+    phi = CountingPhi(lambda x: np.array([x + 0.3, x * x - 1.0, math.cos(x)]))
+    samples = [0.5, -1.25, 2.0]
+    # tol = 0 never converges: psi = T^n_max phi, partner T^(n_max+1) phi
+    rep = iterate(spec, phi, ScalarErrorFn([(1.0, 0.0)]), samples, WITNESSES,
+                  tol=0.0, n_max=n_max)
+    assert not rep.converged and rep.iterations == n_max
+    assert phi.calls <= len(samples) * orbit_budget(n_max, len(branches))
+    sup_residual = 0.0
+    for x in samples:
+        ref = memo_orbit_values(spec, phi.fn, x, n_max + 1)
+        psi = np.array(rep.psi_values[x])
+        assert np.abs(psi - ref[n_max]).max() <= 1e-12 * np.abs(ref[n_max]).max()
+        for y in WITNESSES:
+            sup_residual = max(sup_residual,
+                               eval_norm(spec.space, ref[n_max + 1] - ref[n_max], y))
+    assert rep.sup_residual == pytest.approx(sup_residual, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["radical_j3_converged", "j4_to_n_max"])
+def test_iterate_generic_path_phi_call_budget(case):
+    if case == "radical_j3_converged":
+        spec = radical_spec()
+        terms = VectorFunction(terms=[Term(coef=0.1, exponent=-3.0, mode="ABS", direction=E1)])
+        phi = CountingPhi(lambda x: terms(x))
+        tol, n_max = 1e-8, 60
+    else:
+        spec = IterationSpec(ORACLE_SPECS[3], cross_2norm())
+        phi = CountingPhi(lambda x: np.array([x, 1.0, 0.0]))
+        tol, n_max = 0.0, 6
+    samples = [0.5, 1.0, 2.0]
+    rep = iterate(spec, phi, ScalarErrorFn([(0.06, -3.0)]), samples, WITNESSES,
+                  tol=tol, n_max=n_max)
+    assert rep.converged == (tol > 0)
+    assert phi.calls <= len(samples) * orbit_budget(rep.iterations, len(spec.branches))
+
+
+def test_iterate_generic_path_size_guard():
+    assert math.comb(200 + 2, 2) == 20_301 <= MAX_ORBIT_TERMS
+    spec = IterationSpec([Branch(scale=1.0 + 0.1 * i, coef=0.05) for i in range(10)],
+                         cross_2norm())
+
+    def phi(x):  # fails the test fast, instead of expanding the orbit
+        raise AssertionError("phi called before the size guard")
+
+    with pytest.raises(ValueError, match=r"10 branches at n_max = 200 .*MAX_ORBIT_TERMS"):
+        iterate(spec, phi, ScalarErrorFn([(1.0, 0.0)]), [1.0], WITNESSES)
+    # three branches at the default n_max = 200 stay under the cap and run
+    terms = VectorFunction(terms=[Term(coef=0.1, exponent=-3.0, mode="ABS", direction=E1)])
+    rep = iterate(radical_spec(), lambda x: terms(x), ScalarErrorFn([(0.06, -3.0)]), [1.0],
+                  WITNESSES, tol=1e-8)
+    assert rep.converged
 
 
 def test_iterate_two_starts_agree():

@@ -373,12 +373,6 @@ def test_run_experiment_deterministic():
     assert r1.to_dict() == r2.to_dict()
 
 
-def test_run_experiment_threaded_matches_serial():
-    r1 = run_experiment(reference_config(), max_workers=1)
-    r3 = run_experiment(reference_config(), max_workers=3)
-    assert r1.to_dict() == r3.to_dict()
-
-
 def test_quintic_root_machinery():
     # odd-root generalization: identities, eigen-identity and Q_m recovery
     eq = EquationParams(1.0, 1.0, 2.0, 2.0, root_n=5)
