@@ -16,7 +16,9 @@ error (a numeric failure such as an overflow included).
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
+import io
 import json
 import math
 import os
@@ -29,8 +31,11 @@ import numpy as np
 from . import hyperstab as hs
 from .envelope import check_p_triangle, envelope_norm_rows
 from .fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate, load_sample_grid
-from .radical import (EquationParams, NoExactSolutionError, VectorFunction,
-                      admissibility, check_structure, make_solution, residual)
+# admissibility is not called here but stays bound: bench/tracer.py wraps it
+# in every namespace, cli's included, and its test checks that binding
+from .radical import (EquationParams, NoExactSolutionError, VectorFunction,  # noqa: F401
+                      admissibility, check_structure, make_solution, pair_shortfall,
+                      residual, sample_admissible_pairs)
 from .spaces import check_axioms, estimate_kappa, eval_norm_rows, space_from_dict
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config",
@@ -481,9 +486,6 @@ def _run_fixed_point(payload, seed):
     return body, 0 if report.converged else 2
 
 
-# solve draws at most this many (x, y) pairs per requested admissible pair;
-# a grid whose pairs all sit on the excluded diagonal would otherwise never end
-_ATTEMPTS_PER_PAIR = 10
 _GRID_ROWS = 1000  # sampled pairs listed in the solve report
 
 
@@ -495,22 +497,17 @@ def _run_solve(payload, seed):
         return {"equation": eq.to_dict(), "error": str(exc),
                 "failed_constraints": exc.failed}, 2
     structure = check_structure(eq, f, payload["grid"], payload["tol"])
-    rng = np.random.default_rng(seed)
     wanted = payload["residual_pairs"]
     sup_res = 0.0
     used = 0
-    attempts = 0
     grid_rows = []
     lo, hi = min(map(abs, payload["grid"])), max(map(abs, payload["grid"]))
-    while used < wanted and attempts < _ATTEMPTS_PER_PAIR * wanted:
-        attempts += 1
-        x = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
-        y = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
-        row = {"x": x, "y": y, "residual_norm": None, "gamma": None, "admissible": False}
-        if admissibility(eq, x, y)[0]:
+    for x, y, ok in sample_admissible_pairs(eq, lo, hi, wanted, np.random.default_rng(seed)):
+        row = {"x": x, "y": y, "residual_norm": None, "gamma": None, "admissible": ok}
+        if ok:
             used += 1
             rv = residual(eq, f, x, y)
-            row.update(residual_norm=float(np.linalg.norm(rv)), admissible=True)
+            row["residual_norm"] = float(np.linalg.norm(rv))
             scale = max(abs(x), abs(y)) ** (2 * eq.root_n)
             sup_res = max(sup_res, float(np.abs(rv).max()) / max(scale, 1e-300))
         if len(grid_rows) < _GRID_ROWS:
@@ -518,14 +515,9 @@ def _run_solve(payload, seed):
     body = {"equation": eq.to_dict(), "solution": f.to_dict(),
             "structure": structure.to_dict(), "sup_residual_scaled": sup_res,
             "residual_pairs": used, "residual_grid": grid_rows}
-    ok = structure.passed(payload["tol"]) and sup_res <= 1e-9
-    if used < wanted:
-        # the sampler gave up: a residual over too few pairs proves nothing
-        body["violations"] = [{
-            "name": "no admissible pairs" if used == 0 else "too few admissible pairs",
-            "requested_pairs": wanted, "admissible_pairs": used,
-            "rejected_pairs": attempts - used}]
-        ok = False
+    shortfall = pair_shortfall(wanted, used)
+    body.update(shortfall)
+    ok = structure.passed(payload["tol"]) and sup_res <= 1e-9 and not shortfall
     return body, 0 if ok else 2
 
 
@@ -536,7 +528,8 @@ def _run_hyperstab(payload, seed):
     cfg = hs.ExperimentConfig.from_dict(d)
     report = hs.run_experiment(cfg)
     ok = report.feasible and all(
-        rec["bound_satisfied"] and rec["qm"]["converged"] for rec in report.per_m)
+        rec["bound_satisfied"] and rec["qm"]["converged"] and "violations" not in rec
+        for rec in report.per_m)
     return report.to_dict(), 0 if ok else 2
 
 
@@ -554,7 +547,8 @@ def _atomic_write(path: str, data: str):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        # newline="": the text is written as given (CSV rows end in CRLF)
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -572,20 +566,15 @@ def _fmt(value) -> str:
 def emit_csv(sections: dict, out_dir: str) -> list:
     """Write one CSV per tabular section: header row, RFC 4180 quoting, reals
     at 17 significant digits.  Returns the written paths."""
-    import csv as _csv
     paths = []
     for name, (header, rows) in sections.items():
-        path = os.path.join(out_dir, f"{name}.csv")
-        directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-        os.replace(tmp, path)
-        paths.append(path)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        paths.append(os.path.join(out_dir, f"{name}.csv"))
+        _atomic_write(paths[-1], text.getvalue())
     return paths
 
 

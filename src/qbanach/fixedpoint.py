@@ -26,14 +26,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .envelope import theta
 from .radical import VectorFunction
-from .spaces import SpaceDescriptor, _as_vector, eval_norm
+from .spaces import SpaceDescriptor, _as_vector, eval_norm, eval_norm_rows
 
 __all__ = [
     "Branch",
@@ -155,8 +155,6 @@ class ScalarErrorFn:
 
 
 def _call_fn(f, x: float):
-    if isinstance(f, VectorFunction):
-        return f(x)
     return np.asarray(f(x), dtype=float)
 
 
@@ -358,50 +356,56 @@ def _term_multiplier(spec: IterationSpec, exponent: float, signed: bool) -> floa
     return total
 
 
+def _sup_step(space: Optional[SpaceDescriptor], witnesses, old_rows, new_rows,
+              where: str) -> float:
+    """Sup over rows and witnesses of ``|new - old, y|`` from one norm call
+    over the rows x witnesses block, or the largest absolute component when
+    ``space`` is None.  A non-finite difference (a diverged iteration) raises
+    ``ValueError`` naming ``where``."""
+    delta = np.asarray(new_rows, dtype=float) - np.asarray(old_rows, dtype=float)
+    if not np.all(np.isfinite(delta)):
+        raise ValueError(f"{where}: non-finite iterate (the iteration diverges)")
+    if space is None:
+        return float(np.abs(delta).max(initial=0.0))
+    if delta.size and delta.shape[1] != space.dim:
+        raise ValueError(f"dimension mismatch: expected {space.dim}, got {delta.shape[1]}")
+    if delta.size == 0 or not len(witnesses):
+        return 0.0
+    X = np.repeat(delta, len(witnesses), axis=0)
+    Y = np.tile(np.asarray(witnesses, dtype=float), (len(delta), 1))
+    return float(eval_norm_rows(space, X, Y).max())
+
+
 def _iterate_terms(spec: IterationSpec, phi: VectorFunction, sample_xs, witnesses,
                    tol: float, n_max: int):
     """Per-term geometric iteration for term-family functions.
 
     Every signed-power term is an eigenvector of T (multiplier ``rho_s``) and
     the additive constant is rescaled by ``sum coef_i`` each step, so the
-    iterates stay in the family with exactly updated coefficients.
+    iterates stay in the family with exactly updated coefficients.  Returns
+    psi, its values at the samples, the iteration count and the flag.
     """
     mults = [_term_multiplier(spec, t.exponent, t.mode == "SIGNED") for t in phi.terms]
     const_mult = sum(br.coef for br in spec.branches)
-    coefs = [t.coef for t in phi.terms]
-    const = phi.constant.copy()
-
-    def eval_at(x, cs, cst):
-        total = cst.copy()
-        for (c, t) in zip(cs, phi.terms):
-            mag = abs(x) ** t.exponent
-            if t.mode == "SIGNED" and x < 0:
-                mag = -mag
-            total = total + c * mag * np.asarray(t.direction, dtype=float)
-        return total
-
+    psi = phi
+    rows = [psi(x) for x in sample_xs]
     streak = 0
     n_done = 0
     for n in range(1, n_max + 1):
-        new_coefs = [c * m for c, m in zip(coefs, mults)]
-        new_const = const * const_mult
-        step = 0.0
-        for x in sample_xs:
-            delta = eval_at(x, new_coefs, new_const) - eval_at(x, coefs, const)
-            for y in witnesses:
-                step = max(step, eval_norm(spec.space, delta, y))
-        coefs, const = new_coefs, new_const
+        where = f"fixed-point iteration step {n}"
+        constant = psi.constant * const_mult
+        if not np.all(np.isfinite(constant)):
+            raise ValueError(f"{where}: non-finite iterate (the iteration diverges)")
+        psi = VectorFunction(terms=[replace(t, coef=t.coef * mu)
+                                    for t, mu in zip(psi.terms, mults)], constant=constant)
+        new_rows = [psi(x) for x in sample_xs]
+        step = _sup_step(spec.space, witnesses, rows, new_rows, where)
+        rows = new_rows
         n_done = n
         streak = streak + 1 if step < tol else 0
         if streak >= 3:
             break
-    converged = streak >= 3
-    psi = VectorFunction(
-        terms=[type(t)(coef=c, exponent=t.exponent, mode=t.mode, direction=t.direction)
-               for c, t in zip(coefs, phi.terms)],
-        constant=const,
-    )
-    return psi, n_done, converged
+    return psi, rows, n_done, streak >= 3
 
 
 def _multinomial_terms(coefs: Sequence[float], n: int):
@@ -441,19 +445,19 @@ def _multinomial_terms(coefs: Sequence[float], n: int):
     return E, [sg * math.exp(v) for sg, v in zip(signs, logmag.tolist())]
 
 
-def _orbit_level(spec: IterationSpec, phi, n: int, sample_xs) -> dict:
+def _orbit_level(spec: IterationSpec, phi, n: int, sample_xs) -> list:
     """(T^n phi)(x) at every sample x, from phi on the level-n orbit points."""
     E, coeffs = _multinomial_terms([br.coef for br in spec.branches], n)
     products = np.prod(np.array([br.scale for br in spec.branches]) ** E, axis=1)
     weights = np.array(coeffs)[:, None]
-    out = {}
+    out = []
     for x in sample_xs:
         terms = weights * np.array([_call_fn(phi, p) for p in (products * x).tolist()])
-        out[x] = np.array([math.fsum(col) for col in terms.T.tolist()])
+        out.append(np.array([math.fsum(col) for col in terms.T.tolist()]))
     return out
 
 
-def _iterate_generic(spec: IterationSpec, phi, phi_at: dict, sample_xs, witnesses,
+def _iterate_generic(spec: IterationSpec, phi, phi_rows: list, sample_xs, witnesses,
                      tol: float, n_max: int):
     """Level-by-level iteration on the multiplicative orbit of each sample.
 
@@ -466,23 +470,19 @@ def _iterate_generic(spec: IterationSpec, phi, phi_at: dict, sample_xs, witnesse
     scale products are built once and shared by the samples, phi is called
     once per orbit point, and every component is summed with ``math.fsum``
     (as ``ExpansionTable.apply`` does).  Only one level is held at a time:
-    N iterations take O(N^j) time and O(N^(j-1)) memory.  ``phi_at`` holds
+    N iterations take O(N^j) time and O(N^(j-1)) memory.  ``phi_rows`` holds
     phi at the samples (level 0).
 
-    Returns psi = T^{n*} phi, its residual partner T^{n*+1} phi (level
-    n*+1, whose points are the branch shifts of psi's orbit, each evaluated
-    once), the iteration count n* and the convergence flag.
+    Returns psi = T^{n*} phi and its residual partner T^{n*+1} phi at the
+    samples (level n*+1, whose points are the branch shifts of psi's orbit,
+    each evaluated once), the iteration count n* and the convergence flag.
     """
-    prev = phi_at
+    prev = phi_rows
     streak = 0
     n_done = 0
     for n in range(1, n_max + 1):
         cur = _orbit_level(spec, phi, n, sample_xs)
-        step = 0.0
-        for x in sample_xs:
-            delta = cur[x] - prev[x]
-            for y in witnesses:
-                step = max(step, eval_norm(spec.space, delta, y))
+        step = _sup_step(spec.space, witnesses, prev, cur, f"fixed-point iteration step {n}")
         prev = cur
         n_done = n
         streak = streak + 1 if step < tol else 0
@@ -515,30 +515,26 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
             raise ValueError(
                 f"callable phi with {j} branches at n_max = {n_max} needs {terms} orbit "
                 f"terms at its deepest level, over the cap MAX_ORBIT_TERMS = {MAX_ORBIT_TERMS}")
-    phi_at = {x: _call_fn(phi, x) for x in sample_xs}
+    phi_rows = [_call_fn(phi, x) for x in sample_xs]
 
     if generic:
-        psi_at, tpsi_at, iterations, converged = _iterate_generic(
-            spec, phi, phi_at, sample_xs, witnesses, tol, n_max)
+        psi_rows, tpsi_rows, iterations, converged = _iterate_generic(
+            spec, phi, phi_rows, sample_xs, witnesses, tol, n_max)
     else:
-        psi, iterations, converged = _iterate_terms(spec, phi, sample_xs, witnesses, tol, n_max)
-        psi_at = {x: psi(x) for x in sample_xs}
-        tpsi_at = {x: apply_T(spec, psi, x) for x in sample_xs}
-
-    sup_residual = 0.0
-    for x in sample_xs:
-        delta = tpsi_at[x] - psi_at[x]
-        for y in witnesses:
-            sup_residual = max(sup_residual, eval_norm(spec.space, delta, y))
+        psi, psi_rows, iterations, converged = _iterate_terms(
+            spec, phi, sample_xs, witnesses, tol, n_max)
+        tpsi_rows = [apply_T(spec, psi, x) for x in sample_xs]
+    sup_residual = _sup_step(spec.space, witnesses, psi_rows, tpsi_rows,
+                             "fixed-point residual T psi - psi")
 
     K_observed = 0.0
     bound_entries = []
     eps_star_ok = True
-    for x in sample_xs:
+    for x, phi_x, psi_x in zip(sample_xs, phi_rows, psi_rows):
         star = epsilon_star(spec, eps, x, th)
         eps_star_ok = eps_star_ok and star.converged
         for wi, y in enumerate(witnesses):
-            dev = eval_norm(spec.space, phi_at[x] - psi_at[x], y) ** th
+            dev = eval_norm(spec.space, phi_x - psi_x, y) ** th
             weight = eps.weight(y) ** th if eps.weight is not None else 1.0
             star_xy = star.value * weight
             if star_xy > 0 and math.isfinite(star_xy):
@@ -555,7 +551,7 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
     return FixedPointReport(
         converged=converged,
         iterations=iterations,
-        psi_values={x: np.asarray(psi_at[x]).tolist() for x in sample_xs},
+        psi_values={x: np.asarray(row).tolist() for x, row in zip(sample_xs, psi_rows)},
         sup_residual=sup_residual,
         K_observed=K_observed,
         bound_entries=bound_entries,

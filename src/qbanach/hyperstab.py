@@ -19,8 +19,8 @@ and the quantitative deviation bound holds.
 
 T_m^n expands into the (n+1)(n+2)/2-term multinomial table because the three
 scalings commute; coefficients are kept as log-magnitudes with separate signs
-(hard cap n <= 40).  Signed-power terms are eigenvectors of T_m, so functions
-from the term family are iterated exactly through per-term multipliers.
+(hard cap n <= 40).  Q_m comes from ``fixedpoint``'s term path on
+``radical_iteration_spec``, which iterates exactly through per-term multipliers.
 Identities that cancel catastrophically in floating point (the sextic
 eigen-identity) are evaluated in exact rational arithmetic: every float is an
 exact rational, so the check is free of rounding.
@@ -31,14 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .envelope import theta
-from .fixedpoint import Branch, IterationSpec, _multinomial_terms
+from .fixedpoint import Branch, IterationSpec, _iterate_terms, _multinomial_terms
 from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction,
-                      admissibility, make_solution, real_root, residual)
+                      _radical_args, admissibility, make_solution, pair_shortfall,
+                      real_root, residual, sample_admissible_pairs)
 from .spaces import SpaceDescriptor, _as_vector, eval_norm, space_from_dict
 
 __all__ = [
@@ -412,22 +413,6 @@ def radical_iteration_spec(eq: EquationParams, m: int, space: SpaceDescriptor):
 # Q_m computation
 # ---------------------------------------------------------------------------
 
-def _term_multipliers(eq: EquationParams, m: int, f: VectorFunction):
-    """Exact per-step eigenvalue of each term of f under T_m (powers routed
-    through the exact n-th power values) plus the constant multiplier."""
-    up, vp, wp = scale_powers(eq.a, eq.b, m, eq.root_n)
-    n = eq.root_n
-    mults = []
-    for t in f.terms:
-        def branch(pw, coef):
-            mag = abs(pw) ** (t.exponent / n)
-            if t.mode == "SIGNED" and pw < 0:
-                mag = -mag
-            return coef * mag
-        mults.append(branch(up, eq.c) + branch(vp, eq.d) + branch(wp, -1.0))
-    return mults, eq.c + eq.d - 1.0
-
-
 @dataclass
 class QmResult:
     m: int
@@ -450,18 +435,6 @@ class QmResult:
         }
 
 
-def _sup_step(space, witnesses, grid, f_old_vals, f_new_vals):
-    step = 0.0
-    for old, new in zip(f_old_vals, f_new_vals):
-        delta = new - old
-        if space is None:
-            step = max(step, float(np.abs(delta).max()))
-        else:
-            for y in witnesses:
-                step = max(step, eval_norm(space, delta, y))
-    return step
-
-
 def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[float],
                tol: float = 1e-10, n_max: int = 60,
                space: Optional[SpaceDescriptor] = None,
@@ -470,74 +443,40 @@ def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[flo
                f0: Optional[VectorFunction] = None) -> QmResult:
     """Iterate T_m on a term-family function until the grid sup-step is small.
 
-    Signed-power terms are eigenvectors of T_m, so each iteration rescales the
-    term coefficients exactly (no expansion-table cancellation).  Convergence
-    needs three consecutive sup-steps below ``tol``; the returned diagnostics
-    include the scaled equation residual of Q_m over random admissible pairs
-    drawn from the grid range.
+    Q_m comes from ``fixedpoint``'s term path on ``radical_iteration_spec``
+    (signed-power terms are eigenvectors of T_m, so no expansion-table
+    cancellation).  Convergence needs three consecutive sup-steps below
+    ``tol`` in the space norm over the witnesses, or in the largest absolute
+    component when ``space`` is None; an overflowing iterate raises
+    ``ValueError`` naming the step.  The scaled residual of Q_m is taken over
+    admissible pairs from ``sample_admissible_pairs``, which gives up after
+    ``DRAWS_PER_PAIR`` draws per requested pair.
     """
     grid = [float(g) for g in grid]
-    if any(g == 0.0 for g in grid):
-        raise ValueError("grid must avoid 0")
+    if not grid or any(g == 0.0 for g in grid):
+        raise ValueError("grid must be nonempty and avoid 0")
     if witnesses is not None:
         witnesses = [_as_vector(wv, f.dim) for wv in witnesses]
-    mults, const_mult = _term_multipliers(eq, m, f)
-    coefs = [t.coef for t in f.terms]
-    const = f.constant.copy()
+    Qm, qvals, iterations, converged = _iterate_terms(
+        radical_iteration_spec(eq, m, space), f, grid, witnesses, tol, n_max)
 
-    def snapshot(cs, cv):
-        fn = VectorFunction(
-            terms=[Term(coef=c, exponent=t.exponent, mode=t.mode, direction=t.direction)
-                   for c, t in zip(cs, f.terms)],
-            constant=cv,
-        )
-        return fn, [fn(x) for x in grid]
-
-    _, vals = snapshot(coefs, const)
-    streak = 0
-    iterations = 0
-    converged = False
-    for n in range(1, n_max + 1):
-        coefs = [c * mu for c, mu in zip(coefs, mults)]
-        const = const * const_mult
-        _, new_vals = snapshot(coefs, const)
-        step = _sup_step(space, witnesses, grid, vals, new_vals)
-        vals = new_vals
-        iterations = n
-        streak = streak + 1 if step < tol else 0
-        if streak >= 3:
-            converged = True
-            break
-
-    Qm, qvals = snapshot(coefs, const)
-
+    draws = sample_admissible_pairs(eq, min(map(abs, grid)), max(map(abs, grid)),
+                                    residual_pairs, np.random.default_rng(seed))
+    pairs = [(x, y) for x, y, ok in draws if ok]
     sup_res = 0.0
-    used = 0
-    if residual_pairs > 0:
-        rng = np.random.default_rng(seed)
-        lo = min(abs(g) for g in grid)
-        hi = max(abs(g) for g in grid)
-        attempts = 0
-        while used < residual_pairs and attempts < 20 * residual_pairs:
-            attempts += 1
-            x = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
-            y = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
-            if not admissibility(eq, x, y)[0]:
-                continue
-            used += 1
-            rv = residual(eq, Qm, x, y)
-            nn = eq.root_n
-            axn, byn = eq.a * x ** nn, eq.b * y ** nn
-            t1, t2 = real_root(axn + byn, nn), real_root(axn - byn, nn)
-            scale = (np.abs(Qm(t1)).max() + np.abs(Qm(t2)).max()
-                     + abs(eq.c) * np.abs(Qm(x)).max() + abs(eq.d) * np.abs(Qm(y)).max())
-            sup_res = max(sup_res, float(np.abs(rv).max()) / max(scale, 1e-300))
+    for x, y in pairs:
+        t1, t2 = _radical_args(eq, x, y)
+        q1, q2, qx, qy = Qm(t1), Qm(t2), Qm(x), Qm(y)
+        rv = q1 + q2 - eq.c * qx - eq.d * qy
+        scale = (np.abs(q1).max() + np.abs(q2).max()
+                 + abs(eq.c) * np.abs(qx).max() + abs(eq.d) * np.abs(qy).max())
+        sup_res = max(sup_res, float(np.abs(rv).max()) / max(scale, 1e-300))
 
     f0_vals = None if f0 is None else [f0(x).tolist() for x in grid]
     return QmResult(
         m=m, grid=grid, values=[v.tolist() for v in qvals], f0_values=f0_vals,
         iterations=iterations, converged=converged,
-        sup_residual_scaled=sup_res, residual_pairs=used, Qm=Qm,
+        sup_residual_scaled=sup_res, residual_pairs=len(pairs), Qm=Qm,
     )
 
 
@@ -743,6 +682,7 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
             "K_observed": K_obs,
             "bound_entries": entries,
             "bound_satisfied": all(e["satisfied"] for e in entries),
+            **pair_shortfall(config.residual_pairs, qm.residual_pairs),
         }
 
     per_m = [process(m) for m in selected]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "EquationParams",
     "Term",
     "VectorFunction",
-    "ResidualSample",
     "NoExactSolutionError",
     "InadmissiblePairError",
     "real_root",
@@ -38,10 +37,15 @@ __all__ = [
     "make_solution",
     "check_structure",
     "StructureReport",
-    "residual_rows",
+    "sample_admissible_pairs",
+    "pair_shortfall",
 ]
 
 EXCLUSION_BAND = 1e-6  # relative half-width of the excluded diagonal
+# draws per requested admissible pair before the pair sampler gives up: a
+# range whose pairs all sit on the excluded diagonal (a one-point grid with
+# a = b) would otherwise never end
+DRAWS_PER_PAIR = 10
 
 
 class NoExactSolutionError(ValueError):
@@ -173,22 +177,6 @@ class VectorFunction:
             for t in d.get("terms", [])
         ]
         return VectorFunction(terms=terms, constant=d.get("constant"))
-
-
-@dataclass
-class ResidualSample:
-    x: float
-    y: float
-    value: Optional[np.ndarray]
-    gamma_value: Optional[float]
-    admissible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x, "y": self.y,
-            "value": None if self.value is None else self.value.tolist(),
-            "gamma": self.gamma_value, "admissible": self.admissible,
-        }
 
 
 def admissibility(eq: EquationParams, x: float, y: float):
@@ -324,17 +312,34 @@ def check_structure(eq: EquationParams, f, grid: Sequence[float], tol: float = 1
     return StructureReport(deviations=dev, grid_size=len(grid))
 
 
-def residual_rows(eq: EquationParams, f, pairs: Sequence, gamma: Optional[Callable] = None) -> list:
-    """Residual-grid rows (x, y, residual norm, gamma, admissible) for export."""
-    rows = []
-    for x, y in pairs:
-        ok, _ = admissibility(eq, x, y)
-        if not ok:
-            rows.append(ResidualSample(x=float(x), y=float(y), value=None,
-                                       gamma_value=None, admissible=False))
-            continue
-        val = residual(eq, f, x, y)
-        g = float(gamma(x, y)) if gamma is not None else None
-        rows.append(ResidualSample(x=float(x), y=float(y), value=val,
-                                   gamma_value=g, admissible=True))
-    return rows
+def sample_admissible_pairs(eq: EquationParams, lo: float, hi: float, n: int,
+                            rng: np.random.Generator):
+    """Draw residual pairs: yield ``(x, y, admissible)`` for every draw.
+
+    x and then y are each ``uniform(lo, hi)`` times a random sign.  The
+    generator stops once ``n`` draws were admissible or after
+    ``DRAWS_PER_PAIR * n`` draws, so the draws for n pairs are a prefix of
+    the draws for more pairs from the same generator state.
+    """
+    found = 0
+    for _ in range(DRAWS_PER_PAIR * n):
+        if found == n:
+            return
+        x = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
+        y = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
+        ok = admissibility(eq, x, y)[0]
+        found += ok
+        yield x, y, ok
+
+
+def pair_shortfall(requested: int, admissible: int) -> dict:
+    """``{"violations": [...]}`` for a residual check whose sampler stopped
+    before ``requested`` admissible pairs, after all its ``DRAWS_PER_PAIR *
+    requested`` draws (a residual over too few pairs proves nothing); ``{}``
+    otherwise, so the key appears in a report only on a shortfall."""
+    if admissible >= requested:
+        return {}
+    return {"violations": [{
+        "name": "no admissible pairs" if admissible == 0 else "too few admissible pairs",
+        "requested_pairs": requested, "admissible_pairs": admissible,
+        "rejected_pairs": DRAWS_PER_PAIR * requested - admissible}]}

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qbanach.cli import (COMMANDS, ConfigError, RunConfig, emit_csv, json_schema,
                          main, parse_config, run, serialize_config)
+from qbanach.radical import EquationParams, sample_admissible_pairs
 
 # the reference experiment shipped with the package
 _REFERENCE_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -267,3 +269,56 @@ def test_solve_overflow_exits_1_without_traceback(tmp_path, capsys):
     assert err.startswith("error: solve: ")
     assert "OverflowError" in err and "Traceback" not in err
     assert not (tmp_path / "solve_report.json").exists()
+
+
+def test_fixed_point_divergence_exits_1_without_report(tmp_path, capsys):
+    # x^2 grows by 3 * 100^2 per step and overflows long before n_max
+    cfg = parse_config(make_config("FIXED_POINT", {
+        "space": {"family": "CROSS_2NORM"},
+        "branches": [{"scale": 100.0, "coef": 3.0}],
+        "phi": {"terms": [{"coef": 1.0, "exponent": 2.0, "direction": [1.0, 0.0, 0.0]}]},
+        "error_terms": [{"c": 1.0, "s": 2.0}],
+        "samples": [1.0], "n_max": 200}))
+    code = run(cfg, out_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: fixed-point iteration step ")
+    assert "non-finite iterate" in err and "Traceback" not in err
+    assert not (tmp_path / "fixed_point_report.json").exists()
+
+
+def test_hyperstab_with_no_admissible_pairs_exits_2_with_violation(tmp_path):
+    # a one-point grid with a = b: every residual pair is on the excluded diagonal
+    payload = dict(REFERENCE_HYPERSTAB_PAYLOAD, grid=[1.0])
+    cfg = parse_config(make_config("HYPERSTAB", payload, seed=7))
+    assert run(cfg, out_dir=str(tmp_path)) == 2
+    report = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]
+    requested = payload["tolerances"]["residual_pairs"]
+    assert [rec["m"] for rec in report["per_m"]] == [2, 3, 5]
+    for rec in report["per_m"]:
+        assert rec["qm"]["residual_pairs"] == 0
+        assert rec["violations"] == [{
+            "name": "no admissible pairs", "requested_pairs": requested,
+            "admissible_pairs": 0, "rejected_pairs": 10 * requested}]
+    # with enough pairs the key is absent and the run is clean
+    cfg = parse_config(make_config("HYPERSTAB", REFERENCE_HYPERSTAB_PAYLOAD, seed=7))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    report = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]
+    assert all("violations" not in rec for rec in report["per_m"])
+
+
+def test_solve_grid_rows_are_the_sampler_draws_in_order(tmp_path):
+    # |x| and |y| within 2e-6 of each other: about half the draws fall in the
+    # exclusion band, so the listed rows interleave both kinds
+    eq = {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}
+    cfg = parse_config(make_config(
+        "SOLVE", {"equation": eq, "grid": [1.0, 1.000002], "residual_pairs": 20}, seed=3))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    report = json.loads((tmp_path / "solve_report.json").read_text())["report"]
+    draws = list(sample_admissible_pairs(EquationParams.from_dict(eq), 1.0, 1.000002, 20,
+                                         np.random.default_rng(3)))
+    rows = [(r["x"], r["y"], r["admissible"]) for r in report["residual_grid"]]
+    assert rows == draws
+    assert report["residual_pairs"] == 20 and 20 < len(rows) < 200
+    assert [r["residual_norm"] is not None for r in report["residual_grid"]] == \
+        [ok for _, _, ok in draws]

@@ -8,7 +8,8 @@ from qbanach.fixedpoint import (MAX_ORBIT_TERMS, Branch, IterationSpec, ScalarEr
                                 epsilon_star, geometric_bound, iterate, load_sample_grid)
 from qbanach.hyperstab import radical_iteration_spec, sequences
 from qbanach.radical import EquationParams, Term, VectorFunction
-from qbanach.spaces import cross_2norm, eval_norm
+from qbanach.fixedpoint import _sup_step
+from qbanach.spaces import cross_2norm, eval_norm, lp_cross, power_space, scaled_space
 
 E1 = np.array([1.0, 0.0, 0.0])
 WITNESSES = [np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
@@ -180,6 +181,46 @@ def test_iterate_radical_perturbation_contracts():
     for x in samples:
         dev = np.abs(np.array(rep.psi_values[x]) - f0(x)).max()
         assert dev <= 1e-6 * abs(x) ** 6
+
+
+@pytest.mark.parametrize("space", [
+    cross_2norm(), lp_cross(0.5), lp_cross(0.4, kappa=2.0 ** 1.5),
+    power_space(cross_2norm(), 0.5), scaled_space(cross_2norm(), 3.0)],
+    ids=["cross", "lp0.5", "lp0.4", "powered", "scaled"])
+@pytest.mark.parametrize("n_rows", [1, 2, 7, 257])
+def test_sup_step_block_equals_scalar_norm_loop(space, n_rows):
+    rng = np.random.default_rng(n_rows)
+    old = list(rng.uniform(-5.0, 5.0, (n_rows, 3)))
+    new = list(rng.uniform(-5.0, 5.0, (n_rows, 3)) * rng.choice([1e-9, 1.0, 1e9], (n_rows, 1)))
+    witnesses = [np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0])]
+    loop = 0.0
+    for o, n in zip(old, new):
+        for y in witnesses:
+            loop = max(loop, eval_norm(space, n - o, y))
+    assert _sup_step(space, witnesses, old, new, "step 1") == loop
+    assert _sup_step(None, None, old, new, "step 1") == max(
+        float(np.abs(n - o).max()) for o, n in zip(old, new))
+
+
+def test_sup_step_rejects_non_finite_and_mismatched_rows():
+    ok = [np.ones(3)]
+    for bad in ([np.array([np.inf, 0.0, 0.0])], [np.array([np.nan, 0.0, 0.0])]):
+        for space in (cross_2norm(), None):
+            with pytest.raises(ValueError, match="step 4: non-finite iterate"):
+                _sup_step(space, WITNESSES, ok, bad, "step 4")
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _sup_step(cross_2norm(), WITNESSES, [np.ones(2)], [np.zeros(2)], "step 1")
+    assert _sup_step(cross_2norm(), WITNESSES, [], [], "step 1") == 0.0
+
+
+def test_iterate_term_path_overflow_names_the_step():
+    # one branch with multiplier 3 * 100^2 on x^2; the constant grows by 3
+    spec = IterationSpec([Branch(scale=100.0, coef=3.0)], cross_2norm())
+    eps = ScalarErrorFn([(1.0, 2.0)])
+    for phi in (VectorFunction(terms=[Term(coef=1.0, exponent=2.0, direction=E1)]),
+                VectorFunction(terms=[], constant=np.array([1.0, 0.0, 0.0]))):
+        with pytest.raises(ValueError, match=r"iteration step \d+: non-finite iterate"):
+            iterate(spec, phi, eps, [1.0], WITNESSES, n_max=1000)
 
 
 def test_iterate_generic_path_matches_term_path():

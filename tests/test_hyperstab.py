@@ -285,6 +285,18 @@ def test_compute_Qm_divergent_multiplier_reported():
     assert not res.converged
 
 
+def test_compute_Qm_overflow_raises_instead_of_converging():
+    # the same multiplier run long enough overflows; max(step, nan) dropping
+    # the NaN used to read the run as converged with Q_m(1) = [inf, nan, nan]
+    eq = EquationParams(1, 1, 2, 2)
+    f = VectorFunction(terms=[Term(coef=1.0, exponent=9.0, mode="ABS", direction=E1)])
+    with pytest.raises(ValueError, match=r"iteration step \d+: non-finite iterate"):
+        compute_Qm(eq, f, 2, [1.0], n_max=200, residual_pairs=0)
+    with pytest.raises(ValueError, match=r"iteration step \d+: non-finite iterate"):
+        compute_Qm(eq, f, 2, [1.0], n_max=200, residual_pairs=0,
+                   space=cross_2norm(), witnesses=[[0.0, 1.0, 0.0]])
+
+
 def test_theorem_bound_values():
     model = ErrorModel(
         components=(ErrorComponent(0.0, -1.0, Y_DIR), ErrorComponent(0.0, -1.0, Y_DIR),
@@ -424,7 +436,8 @@ def test_randomized_recovery_sweep():
     """Across random admissible configs, Q_m recovery must match what the
     per-term contraction factors predict: the perturbation dies iff its
     eigenvalue under T_m has modulus < 1."""
-    from qbanach.hyperstab import _term_multipliers
+    from qbanach.fixedpoint import _term_multiplier
+    from qbanach.hyperstab import radical_iteration_spec
 
     rng = np.random.default_rng(2718)
     for _ in range(12):
@@ -437,7 +450,8 @@ def test_randomized_recovery_sweep():
         f0 = make_solution(eq, 1.0, None, E1)
         f = VectorFunction(terms=list(f0.terms)
                            + [Term(coef=eta, exponent=exponent, mode="ABS", direction=E1)])
-        mults, _ = _term_multipliers(eq, m, f)
+        spec = radical_iteration_spec(eq, m, None)
+        mults = [_term_multiplier(spec, t.exponent, t.mode == "SIGNED") for t in f.terms]
         assert mults[0] == pytest.approx(1.0, abs=1e-12)  # exact-solution eigenvalue
         res = compute_Qm(eq, f, m, [0.5, 1.0, 2.0], tol=1e-10, n_max=200,
                          residual_pairs=100, seed=int(rng.integers(1e6)), f0=f0)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qbanach.radical import (EquationParams, InadmissiblePairError, NoExactSolutionError,
-                             Term, VectorFunction, check_structure, is_admissible,
-                             make_solution, real_root, residual, residual_inhom,
-                             residual_rows)
+from qbanach.radical import (DRAWS_PER_PAIR, EquationParams, InadmissiblePairError,
+                             NoExactSolutionError, Term, VectorFunction, check_structure,
+                             is_admissible, make_solution, pair_shortfall, real_root,
+                             residual, residual_inhom, sample_admissible_pairs)
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -224,11 +224,29 @@ def test_vector_function_rejects_mixed_dims():
                        constant=np.array([1.0, 0.0, 0.0]))
 
 
-def test_residual_rows_flags_admissibility():
+def test_sampler_draws_for_fewer_pairs_are_a_prefix():
     eq = EquationParams(1, 1, 2, 2)
-    f = make_solution(eq, 1.0, None, E1)
-    rows = residual_rows(eq, f, [(1.0, 0.5), (1.0, 1.0), (2.0, -2.0)],
-                         gamma=lambda x, y: 42.0)
-    assert [r.admissible for r in rows] == [True, False, False]
-    assert rows[0].gamma_value == 42.0
-    assert rows[1].value is None
+    short = list(sample_admissible_pairs(eq, 0.5, 2.0, 5, np.random.default_rng(9)))
+    long = list(sample_admissible_pairs(eq, 0.5, 2.0, 40, np.random.default_rng(9)))
+    assert sum(ok for _, _, ok in short) == 5
+    assert sum(ok for _, _, ok in long) == 40
+    assert long[:len(short)] == short
+
+
+def test_sampler_on_the_excluded_diagonal_stops_after_its_cap():
+    # |x| = |y| = 1 and a = b: every draw lies on the excluded diagonal
+    eq = EquationParams(1, 1, 2, 2)
+    draws = list(sample_admissible_pairs(eq, 1.0, 1.0, 7, np.random.default_rng(0)))
+    assert len(draws) == DRAWS_PER_PAIR * 7
+    assert not any(ok for _, _, ok in draws)
+    assert {abs(x) for x, _, _ in draws} == {1.0}
+    assert list(sample_admissible_pairs(eq, 1.0, 1.0, 0, np.random.default_rng(0))) == []
+
+
+def test_pair_shortfall_names_the_vacuous_check():
+    assert pair_shortfall(5, 5) == {} and pair_shortfall(0, 0) == {}
+    assert pair_shortfall(7, 0) == {"violations": [{
+        "name": "no admissible pairs", "requested_pairs": 7,
+        "admissible_pairs": 0, "rejected_pairs": 70}]}
+    (few,) = pair_shortfall(7, 3)["violations"]
+    assert few["name"] == "too few admissible pairs" and few["rejected_pairs"] == 67
