@@ -413,14 +413,12 @@ def parse_config(text, command: str | None = None) -> RunConfig:
 
     warnings = []
     if top["command"] == "HYPERSTAB":
-        eqd = payload["equation"]
-        sol = payload.get("solution", {"theta_coef": 1.0})
-        pert = payload.get("perturbation", {"eta": 0.0})
-        needs_solution = sol.get("theta_coef", 1.0) != 0.0
-        solvable = (math.isclose(eqd["a"] ** 2, eqd["c"] / 2.0, rel_tol=1e-12)
-                    and math.isclose(eqd["b"] ** 2, eqd["d"] / 2.0, rel_tol=1e-12))
-        if pert.get("eta", 0.0) != 0.0 and needs_solution and not solvable:
-            warnings.append("no exact solution; experiment will use projection f0 = 0")
+        # the run's own decision; other invalid parameters are left to the run
+        try:
+            _, warnings = hs._solution_f0(EquationParams.from_dict(payload["equation"]),
+                                          payload.get("solution", {}))
+        except ValueError:
+            pass
 
     return RunConfig(command=top["command"], payload=payload, seed=top["seed"],
                      output=top.get("output"), format=top["format"], warnings=warnings)

@@ -376,51 +376,57 @@ def _sup_step(space: Optional[SpaceDescriptor], witnesses, old_rows, new_rows,
     return float(eval_norm_rows(space, X, Y).max())
 
 
-def _iterate_terms(spec: IterationSpec, phi: VectorFunction, sample_xs, witnesses,
-                   tol: float, n_max: int):
-    """Per-term geometric iteration for term-family functions.
+def _converge(iterates, state, rows, space: Optional[SpaceDescriptor], witnesses,
+              tol: float, n_max: int):
+    """Advance ``iterates`` (a generator of ``(state, rows)``) until three
+    consecutive sup-steps fall below ``tol``, or for ``n_max`` steps; returns
+    the last state and rows, the step count and the flag.  numpy overflow
+    warnings are off: ``_sup_step`` names the step of a diverged iterate."""
+    streak = n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            state, new_rows = next(iterates)
+            step = _sup_step(space, witnesses, rows, new_rows, f"fixed-point iteration step {n}")
+            rows = new_rows
+            streak = streak + 1 if step < tol else 0
+            if streak >= 3:
+                break
+    return state, rows, n, streak >= 3
 
-    Every signed-power term is an eigenvector of T (multiplier ``rho_s``) and
-    the additive constant is rescaled by ``sum coef_i`` each step, so the
-    iterates stay in the family with exactly updated coefficients.  Returns
-    psi, its values at the samples, the iteration count and the flag.
+
+def _term_iterates(spec: IterationSpec, phi: VectorFunction, sample_xs):
+    """(T^n phi, its values at the samples), n = 1, 2, ..., for a term-family
+    phi.  Every signed-power term is an eigenvector of T (multiplier
+    ``rho_s``) and the additive constant is rescaled by ``sum coef_i`` each
+    step, so the iterates stay in the family with exactly updated coefficients.
     """
     mults = [_term_multiplier(spec, t.exponent, t.mode == "SIGNED") for t in phi.terms]
     const_mult = sum(br.coef for br in spec.branches)
     psi = phi
-    rows = [psi(x) for x in sample_xs]
-    streak = 0
-    n_done = 0
-    for n in range(1, n_max + 1):
-        where = f"fixed-point iteration step {n}"
+    for n in itertools.count(1):
         constant = psi.constant * const_mult
         if not np.all(np.isfinite(constant)):
-            raise ValueError(f"{where}: non-finite iterate (the iteration diverges)")
+            raise ValueError(f"fixed-point iteration step {n}: non-finite iterate "
+                             "(the iteration diverges)")
         psi = VectorFunction(terms=[replace(t, coef=t.coef * mu)
                                     for t, mu in zip(psi.terms, mults)], constant=constant)
-        new_rows = [psi(x) for x in sample_xs]
-        step = _sup_step(spec.space, witnesses, rows, new_rows, where)
-        rows = new_rows
-        n_done = n
-        streak = streak + 1 if step < tol else 0
-        if streak >= 3:
-            break
-    return psi, rows, n_done, streak >= 3
+        yield psi, [psi(x) for x in sample_xs]
 
 
-def _multinomial_terms(coefs: Sequence[float], n: int):
-    """The terms of T^n for commuting scale branches with coefficients ``coefs``.
+def _multinomial_terms(branches: Sequence[Branch], n: int):
+    """The terms of T^n for commuting scale branches.
 
-    Returns ``(E, coeffs)``: the rows of the integer array ``E`` are the
-    tuples of ``len(coefs)`` nonnegative integers summing to ``n``, in
-    lexicographic order, and ``coeffs[r] = multinomial(n; E[r]) *
-    prod_i coefs[i]**E[r, i]`` (a list of floats).  The magnitude is ``exp``
-    of a log-magnitude built from ``lgamma`` with the sign kept apart, so
-    large orders do not overflow before the coefficient powers shrink them;
-    a zero coefficient gives exact zeros on its branch.  ``exp`` is the scalar
-    ``math.exp`` (numpy's vector exp may round differently).
+    Returns ``(E, coeffs, scales)``: the rows of the integer array ``E`` are
+    the tuples of ``len(branches)`` nonnegative integers summing to ``n``, in
+    lexicographic order, ``coeffs[r] = multinomial(n; E[r]) *
+    prod_i coef_i**E[r, i]`` and ``scales[r] = prod_i scale_i**E[r, i]``
+    (float arrays).  The coefficient magnitude is ``exp`` of a log-magnitude
+    built from ``lgamma`` with the sign kept apart, so large orders do not
+    overflow before the coefficient powers shrink them; a zero coefficient
+    gives exact zeros on its branch.  ``exp`` is the scalar ``math.exp``
+    (numpy's vector exp may round differently).
     """
-    j = len(coefs)
+    j = len(branches)
     count = math.comb(n + j - 1, j - 1)
     # stars and bars: ascending positions of j - 1 bars among n + j - 1 slots
     # give the exponent tuples in lexicographic order
@@ -433,62 +439,40 @@ def _multinomial_terms(coefs: Sequence[float], n: int):
     logmag = np.full(count, lg[n])
     for col in E.T:
         logmag -= lg[col]
-    odd = np.zeros(count, dtype=np.int64)
-    for col, c in zip(E.T, coefs):
-        if c == 0.0:
+    for col, br in zip(E.T, branches):
+        if br.coef == 0.0:
             logmag[col > 0] = -math.inf
         else:
-            logmag += col * math.log(abs(c))
-        if c < 0.0:
-            odd += col
+            logmag += col * math.log(abs(br.coef))
+    odd = E @ np.array([br.coef < 0.0 for br in branches], dtype=np.int64)
     signs = (1 - 2 * (odd % 2)).tolist()
-    return E, [sg * math.exp(v) for sg, v in zip(signs, logmag.tolist())]
+    coeffs = np.array([sg * math.exp(v) for sg, v in zip(signs, logmag.tolist())])
+    scales = np.prod(np.array([br.scale for br in branches]) ** E, axis=1)
+    return E, coeffs, scales
 
 
-def _orbit_level(spec: IterationSpec, phi, n: int, sample_xs) -> list:
-    """(T^n phi)(x) at every sample x, from phi on the level-n orbit points."""
-    E, coeffs = _multinomial_terms([br.coef for br in spec.branches], n)
-    products = np.prod(np.array([br.scale for br in spec.branches]) ** E, axis=1)
-    weights = np.array(coeffs)[:, None]
-    out = []
-    for x in sample_xs:
-        terms = weights * np.array([_call_fn(phi, p) for p in (products * x).tolist()])
-        out.append(np.array([math.fsum(col) for col in terms.T.tolist()]))
-    return out
+def _apply_terms(coeffs: np.ndarray, scales: np.ndarray, f, x: float) -> np.ndarray:
+    """``sum_r coeffs[r] * f(scales[r] * x)``, each component summed with
+    ``math.fsum``: one f call per term."""
+    terms = coeffs[:, None] * np.array([_call_fn(f, p) for p in (scales * x).tolist()])
+    return np.array([math.fsum(col) for col in terms.T.tolist()])
 
 
-def _iterate_generic(spec: IterationSpec, phi, phi_rows: list, sample_xs, witnesses,
-                     tol: float, n_max: int):
-    """Level-by-level iteration on the multiplicative orbit of each sample.
-
-    The branch scalings commute, so with j branches
+def _orbit_iterates(spec: IterationSpec, phi, sample_xs):
+    """(n, T^n phi at the samples), n = 1, 2, ..., level by level on the
+    multiplicative orbit of each sample.  The branch scalings commute, so
+    with j branches
 
         (T^n phi)(x) = sum_{|e| = n} multinomial(n; e) prod_i coef_i^e_i
                        * phi(x prod_i scale_i^e_i)
 
-    over the C(n+j-1, j-1) exponent tuples e.  Each level's weights and
-    scale products are built once and shared by the samples, phi is called
-    once per orbit point, and every component is summed with ``math.fsum``
-    (as ``ExpansionTable.apply`` does).  Only one level is held at a time:
-    N iterations take O(N^j) time and O(N^(j-1)) memory.  ``phi_rows`` holds
-    phi at the samples (level 0).
-
-    Returns psi = T^{n*} phi and its residual partner T^{n*+1} phi at the
-    samples (level n*+1, whose points are the branch shifts of psi's orbit,
-    each evaluated once), the iteration count n* and the convergence flag.
+    over the C(n+j-1, j-1) exponent tuples e, with one phi call per orbit
+    point.  One level is held at a time: N levels take O(N^j) time and
+    O(N^(j-1)) memory.
     """
-    prev = phi_rows
-    streak = 0
-    n_done = 0
-    for n in range(1, n_max + 1):
-        cur = _orbit_level(spec, phi, n, sample_xs)
-        step = _sup_step(spec.space, witnesses, prev, cur, f"fixed-point iteration step {n}")
-        prev = cur
-        n_done = n
-        streak = streak + 1 if step < tol else 0
-        if streak >= 3:
-            break
-    return prev, _orbit_level(spec, phi, n_done + 1, sample_xs), n_done, streak >= 3
+    for n in itertools.count(1):
+        _, coeffs, scales = _multinomial_terms(spec.branches, n)
+        yield n, [_apply_terms(coeffs, scales, phi, x) for x in sample_xs]
 
 
 def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[float],
@@ -516,13 +500,14 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
                 f"callable phi with {j} branches at n_max = {n_max} needs {terms} orbit "
                 f"terms at its deepest level, over the cap MAX_ORBIT_TERMS = {MAX_ORBIT_TERMS}")
     phi_rows = [_call_fn(phi, x) for x in sample_xs]
-
+    iterates = (_orbit_iterates if generic else _term_iterates)(spec, phi, sample_xs)
+    psi, psi_rows, iterations, converged = _converge(
+        iterates, phi, phi_rows, spec.space, witnesses, tol, n_max)
+    # the residual partner T psi: on the orbit it is the next level, whose
+    # points are the branch shifts of psi's orbit, each evaluated once
     if generic:
-        psi_rows, tpsi_rows, iterations, converged = _iterate_generic(
-            spec, phi, phi_rows, sample_xs, witnesses, tol, n_max)
+        tpsi_rows = next(iterates)[1]
     else:
-        psi, psi_rows, iterations, converged = _iterate_terms(
-            spec, phi, sample_xs, witnesses, tol, n_max)
         tpsi_rows = [apply_T(spec, psi, x) for x in sample_xs]
     sup_residual = _sup_step(spec.space, witnesses, psi_rows, tpsi_rows,
                              "fixed-point residual T psi - psi")

@@ -18,9 +18,11 @@ set M0; for those the iteration T_m^n f converges to an exact solution Q_m
 and the quantitative deviation bound holds.
 
 T_m^n expands into the (n+1)(n+2)/2-term multinomial table because the three
-scalings commute; coefficients are kept as log-magnitudes with separate signs
-(hard cap n <= 40).  Q_m comes from ``fixedpoint``'s term path on
-``radical_iteration_spec``, which iterates exactly through per-term multipliers.
+scalings commute (hard cap n <= 40).  ``fixedpoint`` is the one home of T^n:
+the table is its level builder on ``radical_iteration_spec``, ``apply`` is the
+evaluator of its callable-phi orbit, and Q_m comes from its term path, which
+iterates exactly through per-term multipliers.  This module supplies the spec
+and the radical-specific checks.
 Identities that cancel catastrophically in floating point (the sextic
 eigen-identity) are evaluated in exact rational arithmetic: every float is an
 exact rational, so the check is free of rounding.
@@ -36,7 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .envelope import theta
-from .fixedpoint import Branch, IterationSpec, _iterate_terms, _multinomial_terms
+from .fixedpoint import (Branch, IterationSpec, _apply_terms, _converge, _multinomial_terms,
+                         _term_iterates, _term_multiplier)
 from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction,
                       _radical_args, admissibility, make_solution, pair_shortfall,
                       real_root, residual, sample_admissible_pairs)
@@ -309,8 +312,8 @@ class ExpansionEntry:
 class ExpansionTable:
     """Closed form of T_m^n: entries (coeff, scale) over all i+j+k = n.
 
-    ``coeff = multinomial(n; i,j,k) c^i d^j (-1)^k`` (log-domain magnitudes,
-    signs tracked separately) and ``scale = u^i v^j w^k``.
+    ``coeff = multinomial(n; i,j,k) c^i d^j (-1)^k`` and ``scale = u^i v^j
+    w^k``, as ``fixedpoint._multinomial_terms`` builds every level of T^n.
     """
 
     eq: EquationParams
@@ -324,29 +327,17 @@ class ExpansionTable:
 
     def apply(self, f, x: float) -> np.ndarray:
         """Evaluate (T_m^n f)(x) = sum coeff * f(scale * x) for a callable f."""
-        vals = [e.coeff * np.asarray(f(e.scale * x), dtype=float) for e in self.entries]
-        stacked = np.stack(vals)
-        return np.array([math.fsum(stacked[:, d]) for d in range(stacked.shape[1])])
+        return _apply_terms(np.array([e.coeff for e in self.entries]),
+                            np.array([e.scale for e in self.entries]), f, x)
 
     def power_term_sum(self, exponent: float, signed: bool = False) -> float:
         """Image multiplier of one signed-power term under T_m^n.
 
-        Scale powers are taken through the exact n-th power values
-        (|u|^s = |u^n|^(s/n)) to avoid compounding root errors.
+        The one-step multiplier to the n-th power (multinomial theorem), taken
+        through the exact n-th power values (|u|^s = |u^n|^(s/n)).
         """
-        up, vp, wp = scale_powers(self.eq.a, self.eq.b, self.m, self.eq.root_n)
-        root_n = self.eq.root_n
-        lau, lav, law = (math.log(abs(t)) / root_n for t in (up, vp, wp))
-        sgn = [math.copysign(1.0, t) for t in (up, vp, wp)]
-        total = []
-        for e in self.entries:
-            logmag = math.log(abs(e.coeff)) if e.coeff != 0 else -math.inf
-            logmag += exponent * (e.i * lau + e.j * lav + e.k * law)
-            sign = math.copysign(1.0, e.coeff)
-            if signed:
-                sign *= sgn[0] ** (e.i % 2) * sgn[1] ** (e.j % 2) * sgn[2] ** (e.k % 2)
-            total.append(sign * math.exp(logmag))
-        return math.fsum(total)
+        spec = radical_iteration_spec(self.eq, self.m, None)
+        return _term_multiplier(spec, exponent, signed) ** self.n
 
     def sextic_identity_error(self) -> float:
         """|sum coeff * scale^(2n) - 1| in exact rational arithmetic.
@@ -366,13 +357,6 @@ class ExpansionTable:
             total += coeff * up ** (2 * e.i) * vp ** (2 * e.j) * wp ** (2 * e.k)
         return abs(float(total - 1))
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m, "n": self.n,
-            "entries": [{"i": e.i, "j": e.j, "k": e.k, "coeff": e.coeff, "scale": e.scale}
-                        for e in self.entries],
-        }
-
 
 def expand_T_power(eq: EquationParams, m: int, n: int) -> ExpansionTable:
     """Build the multinomial table for T_m^n; n = 0 yields the identity entry."""
@@ -381,12 +365,9 @@ def expand_T_power(eq: EquationParams, m: int, n: int) -> ExpansionTable:
     if n > MAX_EXPANSION_ORDER:
         raise ValueError(f"expansion order capped at {MAX_EXPANSION_ORDER} "
                          "(coefficient magnitudes overflow beyond that)")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    u, v, w = sequences(eq.a, eq.b, m, eq.root_n)
-    E, coeffs = _multinomial_terms((eq.c, eq.d, -1.0), n)
-    entries = [ExpansionEntry(i=i, j=j, k=k, coeff=coeff, scale=(u ** i) * (v ** j) * (w ** k))
-               for (i, j, k), coeff in zip(E.tolist(), coeffs)]
+    E, coeffs, scales = _multinomial_terms(radical_iteration_spec(eq, m, None).branches, n)
+    entries = [ExpansionEntry(i=i, j=j, k=k, coeff=coeff, scale=scale)
+               for (i, j, k), coeff, scale in zip(E.tolist(), coeffs.tolist(), scales.tolist())]
     return ExpansionTable(eq=eq, m=m, n=n, entries=entries)
 
 
@@ -395,7 +376,7 @@ def sextic_defect(eq: EquationParams, m: int) -> float:
     return expand_T_power(eq, m, 1).sextic_identity_error()
 
 
-def radical_iteration_spec(eq: EquationParams, m: int, space: SpaceDescriptor):
+def radical_iteration_spec(eq: EquationParams, m: int, space: Optional[SpaceDescriptor]):
     """The scale-branch spec of the substituted radical operator T_m, carrying
     exact n-th power hints so eigen-multipliers stay exact in fp."""
     u, v, w = sequences(eq.a, eq.b, m, eq.root_n)
@@ -457,8 +438,12 @@ def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[flo
         raise ValueError("grid must be nonempty and avoid 0")
     if witnesses is not None:
         witnesses = [_as_vector(wv, f.dim) for wv in witnesses]
-    Qm, qvals, iterations, converged = _iterate_terms(
-        radical_iteration_spec(eq, m, space), f, grid, witnesses, tol, n_max)
+    elif space is not None:
+        raise ValueError("compute_Qm: a space needs witnesses to measure the sup-step "
+                         "(witnesses is None)")
+    Qm, qvals, iterations, converged = _converge(
+        _term_iterates(radical_iteration_spec(eq, m, space), f, grid), f,
+        [f(x) for x in grid], space, witnesses, tol, n_max)
 
     draws = sample_admissible_pairs(eq, min(map(abs, grid)), max(map(abs, grid)),
                                     residual_pairs, np.random.default_rng(seed))
@@ -605,6 +590,17 @@ def _consistency_scan(eq: EquationParams, f, model: ErrorModel, grid, witnesses,
     return {"max_residual_gamma_ratio": max_ratio, "exceeds_gamma": max_ratio > 1.0}
 
 
+def _solution_f0(eq: EquationParams, sol: dict):
+    """f0 from a config's ``solution`` section and the run's warnings: f0 = 0
+    and one naming the failed constraints when no exact solution exists."""
+    direction = np.asarray(sol.get("direction", [1.0, 0.0, 0.0]), dtype=float)
+    try:
+        return make_solution(eq, float(sol.get("theta_coef", 1.0)), sol.get("w"), direction), []
+    except NoExactSolutionError as exc:
+        return (VectorFunction(terms=[], constant=np.zeros_like(direction)),
+                [f"no exact solution; experiment will use projection f0 = 0 ({exc})"])
+
+
 def run_experiment(config: ExperimentConfig) -> HyperstabReport:
     """Full hyperstability pipeline: feasible set, Q_m recovery, residual and
     deviation-bound verification, and the near-diagonal consistency probe."""
@@ -614,13 +610,9 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
     witnesses = [np.asarray(wv, dtype=float) for wv in config.witnesses]
     th = theta(space.beta, space.kappa)
 
-    sol = config.solution
-    direction = np.asarray(sol.get("direction", [1.0, 0.0, 0.0]), dtype=float)
-    try:
-        f0 = make_solution(eq, float(sol.get("theta_coef", 1.0)), sol.get("w"), direction)
-    except NoExactSolutionError as exc:
-        warnings.append(f"no exact solution; experiment will use projection f0 = 0 ({exc})")
-        f0 = VectorFunction(terms=[], constant=np.zeros_like(direction))
+    direction = np.asarray(config.solution.get("direction", [1.0, 0.0, 0.0]), dtype=float)
+    f0, no_solution = _solution_f0(eq, config.solution)
+    warnings += no_solution
 
     pert = config.perturbation
     eta = float(pert.get("eta", 0.0))
@@ -649,9 +641,12 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
 
     def process(m: int) -> dict:
         cst = consts_by_m[m]
-        qm = compute_Qm(eq, f, m, config.grid, tol=config.qm_tol, n_max=config.qm_n_max,
-                        space=space, witnesses=witnesses,
-                        residual_pairs=config.residual_pairs, seed=config.seed + m, f0=f0)
+        try:
+            qm = compute_Qm(eq, f, m, config.grid, tol=config.qm_tol, n_max=config.qm_n_max,
+                            space=space, witnesses=witnesses,
+                            residual_pairs=config.residual_pairs, seed=config.seed + m, f0=f0)
+        except ValueError as exc:
+            raise ValueError(f"Q_m for m = {m}: {exc}") from exc
         sup_dev_rel = 0.0
         sup_f_qm = 0.0
         K_obs = 0.0

@@ -357,6 +357,19 @@ def _record_worst(slot: AxiomViolations, mask: np.ndarray, severity: np.ndarray,
         slot.worst = make_witness(int(w))
 
 
+def _triangle_ratios(space: SpaceDescriptor, X, Y, Z):
+    """Per-row ratios ``|x, y+z| / (|x, y| + |x, z|)`` (0 where the denominator
+    is degenerate) and the mask of nondegenerate rows."""
+    num = eval_norm_rows(space, X, Y + Z)
+    den = eval_norm_rows(space, X, Y) + eval_norm_rows(space, X, Z)
+    scale = (np.linalg.norm(X, axis=1) *
+             np.maximum(np.linalg.norm(Y, axis=1), np.linalg.norm(Z, axis=1))) ** space.beta
+    valid = den > 1e-12 * (1.0 + scale)
+    ratio = np.zeros_like(num)
+    ratio[valid] = num[valid] / den[valid]
+    return ratio, valid
+
+
 def check_axioms(space: SpaceDescriptor, trials: int, seed: int) -> AxiomReport:
     """Sample random configurations and count violations of axioms B1-B4.
 
@@ -408,14 +421,8 @@ def check_axioms(space: SpaceDescriptor, trials: int, seed: int) -> AxiomReport:
 
     # B4 on the triple mixture
     Xt, Yt, Zt = sample_triples(rng, trials)
-    num = eval_norm_rows(space, Xt, Yt + Zt)
-    den = eval_norm_rows(space, Xt, Yt) + eval_norm_rows(space, Xt, Zt)
-    den_scale = (np.linalg.norm(Xt, axis=1) *
-                 np.maximum(np.linalg.norm(Yt, axis=1), np.linalg.norm(Zt, axis=1))) ** space.beta
-    valid = den > 1e-12 * (1.0 + den_scale)
+    ratio, valid = _triangle_ratios(space, Xt, Yt, Zt)
     report.degenerate += int((~valid).sum())
-    ratio = np.zeros_like(num)
-    ratio[valid] = num[valid] / den[valid]
     bad4 = valid & (ratio > space.kappa * (1.0 + REL_TOL))
     _record_worst(report.b4, bad4, ratio, lambda i: {
         "x": Xt[i].tolist(), "y": Yt[i].tolist(), "z": Zt[i].tolist(), "ratio": float(ratio[i]),
@@ -434,12 +441,5 @@ def estimate_kappa(space: SpaceDescriptor, trials: int, seed: int) -> float:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    X, Y, Z = sample_triples(rng, trials)
-    num = eval_norm_rows(space, X, Y + Z)
-    den = eval_norm_rows(space, X, Y) + eval_norm_rows(space, X, Z)
-    scale = (np.linalg.norm(X, axis=1) *
-             np.maximum(np.linalg.norm(Y, axis=1), np.linalg.norm(Z, axis=1))) ** space.beta
-    valid = den > 1e-12 * (1.0 + scale)
-    if not valid.any():
-        return 0.0
-    return float((num[valid] / den[valid]).max())
+    ratio, valid = _triangle_ratios(space, *sample_triples(rng, trials))
+    return float(ratio[valid].max()) if valid.any() else 0.0

@@ -322,3 +322,36 @@ def test_solve_grid_rows_are_the_sampler_draws_in_order(tmp_path):
     assert report["residual_pairs"] == 20 and 20 < len(rows) < 200
     assert [r["residual_norm"] is not None for r in report["residual_grid"]] == \
         [ok for _, _, ok in draws]
+
+
+def test_parse_hyperstab_warnings_agree_with_the_run(tmp_path):
+    # w != 0 needs c + d = 2, which the reference equation (c = d = 2) fails;
+    # the config's warnings come from the run's own make_solution decision
+    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
+    payload["solution"]["w"] = [1.0, 0.0, 0.0]
+    cfg = parse_config(make_config("HYPERSTAB", payload))
+    assert any("c + d = 2" in w for w in cfg.warnings)
+    assert run(cfg, out_dir=str(tmp_path)) != 1
+    doc = json.loads((tmp_path / "hyperstab_report.json").read_text())
+    assert doc["warnings"] == doc["report"]["warnings"] == cfg.warnings
+
+
+def test_hyperstab_diverging_Qm_names_the_index_without_numpy_warnings(tmp_path):
+    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
+    payload["perturbation"]["exponent"] = 9.0
+    payload["tolerances"]["qm_n_max"] = 400
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config("HYPERSTAB", payload))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbanach.cli", "hyperstab",
+         "--config", str(cfg_path), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    # nothing (no numpy RuntimeWarning) before the error line
+    assert proc.stderr.startswith(
+        "error: Q_m for m = 2: fixed-point iteration step 96: non-finite iterate"), proc.stderr
+    assert not (tmp_path / "hyperstab_report.json").exists()

@@ -506,3 +506,38 @@ def test_error_model_validation_and_flags():
     d = model.to_dict()
     again = ErrorModel.from_dict(d)
     assert again.to_dict() == d
+
+
+def test_power_term_sum_sextic_multiplier_is_exactly_one():
+    # c u^6 + d v^6 - w^6 = 1 holds exactly in the cube values, so the sextic
+    # eigen-multiplier of T_m^n is exactly 1 at every order
+    for a, b in [(1.0, 1.0), (1.0, 3.0)]:
+        eq = EquationParams(a, b, 2 * a * a, 2 * b * b)
+        for m in (2, 3, 6, 12):
+            for n in (2, 4, 5, 8):
+                assert expand_T_power(eq, m, n).power_term_sum(6.0) == 1.0
+
+
+def test_table_apply_equals_callable_orbit_level_bit_for_bit():
+    # ExpansionTable.apply and fixedpoint's callable-phi orbit share one level
+    # builder and one evaluator, so T_m^n phi agrees to the last bit
+    from qbanach.fixedpoint import ScalarErrorFn, iterate
+    from qbanach.hyperstab import radical_iteration_spec
+    phi = lambda x: np.array([abs(x) ** -3.0, 0.5 * x, math.sin(x)])
+    eps = ScalarErrorFn([(1.0, -3.0)])
+    for a, b in [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)]:
+        eq = EquationParams(a, b, 2 * a * a, 2 * b * b)
+        for m in range(2, 13):
+            spec = radical_iteration_spec(eq, m, cross_2norm())
+            for n in range(7):
+                table = expand_T_power(eq, m, n)
+                for x in (0.7, -1.3):
+                    rep = iterate(spec, phi, eps, [x], WITNESSES, tol=0.0, n_max=n)
+                    assert table.apply(phi, x).tolist() == rep.psi_values[x], (a, b, m, n, x)
+
+
+def test_compute_Qm_space_without_witnesses_is_rejected():
+    eq = EquationParams(1, 1, 2, 2)
+    f0 = make_solution(eq, 1.0, None, E1)
+    with pytest.raises(ValueError, match="needs witnesses"):
+        compute_Qm(eq, f0, 2, [1.0], space=cross_2norm(), witnesses=None)
