@@ -12,11 +12,10 @@ from .fixedpoint import (Branch, IterationSpec, ScalarErrorFn, apply_Lambda, app
 from .hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig, ExpansionTable,
                         HyperstabConstants, compute_Qm, constants, expand_T_power,
                         find_M0, radical_iteration_spec, run_experiment,
-                        s_multiplier, s_multiplier_sampled,
-                        sequences, sextic_defect, theorem_bound)
+                        s_multiplier, sequences, sextic_defect, theorem_bound)
 from .radical import (EquationParams, InadmissiblePairError, NoExactSolutionError,
                       Term, VectorFunction, check_structure, is_admissible,
-                      make_solution, real_root, residual, residual_inhom)
+                      make_solution, real_root, residual)
 from .spaces import (AxiomReport, SpaceDescriptor, check_axioms, cross_2norm,
                      estimate_kappa, eval_norm, is_dependent, lp_cross, power_space,
                      scaled_space, space_from_dict)

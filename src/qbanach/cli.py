@@ -35,7 +35,7 @@ from .fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate, load_samp
 # in every namespace, cli's included, and its test checks that binding
 from .radical import (EquationParams, NoExactSolutionError, VectorFunction,  # noqa: F401
                       admissibility, check_structure, make_solution, pair_shortfall,
-                      residual, sample_admissible_pairs)
+                      residual_rows, sample_admissible_pairs)
 from .spaces import check_axioms, estimate_kappa, eval_norm_rows, space_from_dict
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config",
@@ -153,7 +153,7 @@ SCHEMAS = {
             }},
             "samples": {"type": "array", "items": _NUM},
             "samples_csv": {"type": "string"},
-            "witnesses": {"type": "array", "items": _VEC},
+            "witnesses": {"type": "array", "items": _VEC, "min_len": 1},
             "tol": {"type": "number", "exclusive_min": 0.0},
             "n_max": {"type": "integer", "min": 1},
         },
@@ -218,7 +218,7 @@ SCHEMAS = {
             "grid": {"type": "array", "items": _NUM, "min_len": 1},
             "m_values": {"type": "array", "items": {"type": "integer", "min": 2}},
             "m_max": {"type": "integer", "min": 2},
-            "witnesses": {"type": "array", "items": _VEC},
+            "witnesses": {"type": "array", "items": _VEC, "min_len": 1},
             "tolerances": {
                 "type": "object",
                 "fields": {
@@ -496,24 +496,21 @@ def _run_solve(payload, seed):
                 "failed_constraints": exc.failed}, 2
     structure = check_structure(eq, f, payload["grid"], payload["tol"])
     wanted = payload["residual_pairs"]
-    sup_res = 0.0
-    used = 0
-    grid_rows = []
     lo, hi = min(map(abs, payload["grid"])), max(map(abs, payload["grid"]))
-    for x, y, ok in sample_admissible_pairs(eq, lo, hi, wanted, np.random.default_rng(seed)):
-        row = {"x": x, "y": y, "residual_norm": None, "gamma": None, "admissible": ok}
-        if ok:
-            used += 1
-            rv = residual(eq, f, x, y)
-            row["residual_norm"] = float(np.linalg.norm(rv))
-            scale = max(abs(x), abs(y)) ** (2 * eq.root_n)
-            sup_res = max(sup_res, float(np.abs(rv).max()) / max(scale, 1e-300))
-        if len(grid_rows) < _GRID_ROWS:
-            grid_rows.append(row)
+    draws = list(sample_admissible_pairs(eq, lo, hi, wanted, np.random.default_rng(seed)))
+    pairs = [(x, y) for x, y, ok in draws if ok]
+    res = residual_rows(eq, f, [x for x, _ in pairs], [y for _, y in pairs])
+    scale = [max(abs(x), abs(y)) ** (2 * eq.root_n) for x, y in pairs]
+    sup_res = hs._sup(np.abs(res).max(axis=1) / np.maximum(scale, 1e-300))
+    grid_rows, adm = [], iter(res)
+    for x, y, ok in draws[:_GRID_ROWS]:
+        # one np.linalg.norm per row: a batched norm rounds differently
+        grid_rows.append({"x": x, "y": y, "gamma": None, "admissible": ok,
+                          "residual_norm": float(np.linalg.norm(next(adm))) if ok else None})
     body = {"equation": eq.to_dict(), "solution": f.to_dict(),
             "structure": structure.to_dict(), "sup_residual_scaled": sup_res,
-            "residual_pairs": used, "residual_grid": grid_rows}
-    shortfall = pair_shortfall(wanted, used)
+            "residual_pairs": len(pairs), "residual_grid": grid_rows}
+    shortfall = pair_shortfall(wanted, len(pairs))
     body.update(shortfall)
     ok = structure.passed(payload["tol"]) and sup_res <= 1e-9 and not shortfall
     return body, 0 if ok else 2

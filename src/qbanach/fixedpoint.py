@@ -33,7 +33,7 @@ import numpy as np
 
 from .envelope import theta
 from .radical import VectorFunction
-from .spaces import SpaceDescriptor, _as_vector, eval_norm, eval_norm_rows
+from .spaces import SpaceDescriptor, _as_vector, _norm_table, eval_norm
 
 __all__ = [
     "Branch",
@@ -361,19 +361,18 @@ def _sup_step(space: Optional[SpaceDescriptor], witnesses, old_rows, new_rows,
     """Sup over rows and witnesses of ``|new - old, y|`` from one norm call
     over the rows x witnesses block, or the largest absolute component when
     ``space`` is None.  A non-finite difference (a diverged iteration) raises
-    ``ValueError`` naming ``where``."""
+    ``ValueError`` naming ``where``, and so does a space without witnesses
+    (every step would read 0, so any iteration would look converged)."""
     delta = np.asarray(new_rows, dtype=float) - np.asarray(old_rows, dtype=float)
     if not np.all(np.isfinite(delta)):
         raise ValueError(f"{where}: non-finite iterate (the iteration diverges)")
     if space is None:
         return float(np.abs(delta).max(initial=0.0))
-    if delta.size and delta.shape[1] != space.dim:
-        raise ValueError(f"dimension mismatch: expected {space.dim}, got {delta.shape[1]}")
-    if delta.size == 0 or not len(witnesses):
+    if witnesses is None or not len(witnesses):
+        raise ValueError(f"{where}: no witnesses to measure the step in the space norm")
+    if delta.size == 0:
         return 0.0
-    X = np.repeat(delta, len(witnesses), axis=0)
-    Y = np.tile(np.asarray(witnesses, dtype=float), (len(delta), 1))
-    return float(eval_norm_rows(space, X, Y).max())
+    return float(_norm_table(space, delta, witnesses).max())
 
 
 def _converge(iterates, state, rows, space: Optional[SpaceDescriptor], witnesses,

@@ -23,6 +23,9 @@ the table is its level builder on ``radical_iteration_spec``, ``apply`` is the
 evaluator of its callable-phi orbit, and Q_m comes from its term path, which
 iterates exactly through per-term multipliers.  This module supplies the spec
 and the radical-specific checks.
+The residual check of Q_m, the bound loop and the consistency scan run on
+row arrays; each power stays a scalar pow (numpy's array ``**`` rounds
+differently), so the row forms equal the one-point forms bit for bit.
 Identities that cancel catastrophically in floating point (the sextic
 eigen-identity) are evaluated in exact rational arithmetic: every float is an
 exact rational, so the check is free of rounding.
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,9 +43,9 @@ from .envelope import theta
 from .fixedpoint import (Branch, IterationSpec, _apply_terms, _converge, _multinomial_terms,
                          _term_iterates, _term_multiplier)
 from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction,
-                      _radical_args, admissibility, make_solution, pair_shortfall,
-                      real_root, residual, sample_admissible_pairs)
-from .spaces import SpaceDescriptor, _as_vector, eval_norm, space_from_dict
+                      admissibility, make_solution, pair_shortfall, real_root,
+                      residual_rows, sample_admissible_pairs)
+from .spaces import SpaceDescriptor, _as_vector, _norm_table, space_from_dict
 
 __all__ = [
     "ErrorComponent",
@@ -57,7 +59,6 @@ __all__ = [
     "sequences",
     "scale_powers",
     "s_multiplier",
-    "s_multiplier_sampled",
     "constants",
     "find_M0",
     "expand_T_power",
@@ -65,6 +66,7 @@ __all__ = [
     "sextic_defect",
     "compute_Qm",
     "theorem_bound",
+    "theorem_bound_rows",
     "run_experiment",
 ]
 
@@ -141,22 +143,35 @@ class ErrorModel:
         zv = np.asarray(z, dtype=float)
         return zv if self.g_matrix is None else self.g_matrix @ zv
 
-    def h(self, i: int, t: float, z) -> float:
-        """Component value h_i(t, z), i in 1..4; +inf on degenerate pairs with
-        negative exponent."""
+    def h_rows(self, i: int, ts, witnesses) -> np.ndarray:
+        """Component values h_i(t, z), i in 1..4, for every t in ``ts`` (rows)
+        and every witness z (columns), from one norm call; +inf on degenerate
+        pairs with negative exponent, 0 on those with positive exponent."""
         comp = self.components[i - 1]
-        nrm = eval_norm(self.aux_space, t * comp.y, self.g(z))
-        if nrm == 0.0:
-            return 0.0 if comp.p > 0 else math.inf
-        return comp.c * nrm ** comp.p
+        nrm = _norm_table(self.aux_space, np.asarray(ts, dtype=float)[:, None] * comp.y,
+                          [self.g(z) for z in witnesses])
+        # a scalar pow per entry: numpy's array ** rounds differently
+        vals = [comp.c * v ** comp.p if v != 0.0 else 0.0 if comp.p > 0 else math.inf
+                for v in nrm.ravel().tolist()]
+        return np.array(vals, dtype=float).reshape(nrm.shape)
+
+    def gamma_rows(self, txs, tys, witnesses) -> np.ndarray:
+        """The majorant at powered arguments tx = x^n, ty = y^n for every pair
+        (rows) and every witness (columns)."""
+        # inf * 0 -> nan and overflow -> inf silently, as in Python float arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.h_rows(1, txs, witnesses) * self.h_rows(2, tys, witnesses)
+                    + self.h_rows(3, txs, witnesses) + self.h_rows(4, tys, witnesses))
+
+    def h(self, i: int, t: float, z) -> float:
+        return float(self.h_rows(i, [t], [z])[0, 0])
+
+    def gamma(self, tx: float, ty: float, z) -> float:
+        return float(self.gamma_rows([tx], [ty], [z])[0, 0])
 
     def bracket(self, t: float, z) -> float:
         """h1(t,z) h2(t,z) + h3(t,z) + h4(t,z) (both arguments at the same t)."""
-        return self.h(1, t, z) * self.h(2, t, z) + self.h(3, t, z) + self.h(4, t, z)
-
-    def gamma(self, tx: float, ty: float, z) -> float:
-        """The majorant at powered arguments tx = x^n, ty = y^n."""
-        return self.h(1, tx, z) * self.h(2, ty, z) + self.h(3, tx, z) + self.h(4, ty, z)
+        return self.gamma(t, t, z)
 
     def to_dict(self) -> dict:
         return {
@@ -182,25 +197,6 @@ def s_multiplier(component: ErrorComponent, rho: float, alpha: float = 1.0) -> f
     if rho == 0.0:
         raise ValueError("rho must be nonzero")
     return abs(rho) ** (alpha * component.p)
-
-
-def s_multiplier_sampled(component: ErrorComponent, rho: float, model: ErrorModel,
-                         trials: int = 64, seed: int = 0) -> float:
-    """Sup of ``h(rho t, z)/h(t, z)`` over sampled (t, z); agrees with the
-    closed form for the power family."""
-    if rho == 0.0:
-        raise ValueError("rho must be nonzero")
-    rng = np.random.default_rng(seed)
-    i = model.components.index(component) + 1
-    best = 0.0
-    for _ in range(trials):
-        t = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
-        z = rng.uniform(-3.0, 3.0, model.aux_space.dim)
-        denom = model.h(i, t, z)
-        if not math.isfinite(denom) or denom == 0.0:
-            continue
-        best = max(best, model.h(i, rho * t, z) / denom)
-    return best
 
 
 @dataclass
@@ -346,15 +342,17 @@ class ExpansionTable:
         float is an exact rational, so the identity is evaluated without
         rounding (the power 2n needs only the exact n-th power values).
         """
+        from fractions import Fraction
         a, b = Fraction(self.eq.a), Fraction(self.eq.b)
-        c, d = Fraction(self.eq.c), Fraction(self.eq.d)
         mn = Fraction(self.m) ** self.eq.root_n
         up, vp, wp = mn / a, (1 - mn) / b, 2 * mn - 1
+        # power tables built once: (c u^2n)^i, (d v^2n)^j, (-w^2n)^k for 0..n
+        U, V, W = ([q ** k for k in range(self.n + 1)] for q in (
+            Fraction(self.eq.c) * up * up, Fraction(self.eq.d) * vp * vp, -wp * wp))
         total = Fraction(0)
         for e in self.entries:
-            coeff = Fraction(math.comb(self.n, e.i) * math.comb(self.n - e.i, e.j))
-            coeff *= c ** e.i * d ** e.j * (-1) ** e.k
-            total += coeff * up ** (2 * e.i) * vp ** (2 * e.j) * wp ** (2 * e.k)
+            coeff = math.comb(self.n, e.i) * math.comb(self.n - e.i, e.j)
+            total += coeff * U[e.i] * V[e.j] * W[e.k]
         return abs(float(total - 1))
 
 
@@ -448,14 +446,8 @@ def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[flo
     draws = sample_admissible_pairs(eq, min(map(abs, grid)), max(map(abs, grid)),
                                     residual_pairs, np.random.default_rng(seed))
     pairs = [(x, y) for x, y, ok in draws if ok]
-    sup_res = 0.0
-    for x, y in pairs:
-        t1, t2 = _radical_args(eq, x, y)
-        q1, q2, qx, qy = Qm(t1), Qm(t2), Qm(x), Qm(y)
-        rv = q1 + q2 - eq.c * qx - eq.d * qy
-        scale = (np.abs(q1).max() + np.abs(q2).max()
-                 + abs(eq.c) * np.abs(qx).max() + abs(eq.d) * np.abs(qy).max())
-        sup_res = max(sup_res, float(np.abs(rv).max()) / max(scale, 1e-300))
+    res, scale = residual_rows(eq, Qm, [x for x, _ in pairs], [y for _, y in pairs], scale=True)
+    sup_res = _sup(np.abs(res).max(axis=1) / np.maximum(scale, 1e-300))
 
     f0_vals = None if f0 is None else [f0(x).tolist() for x in grid]
     return QmResult(
@@ -465,16 +457,30 @@ def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[flo
     )
 
 
-def theorem_bound(model: ErrorModel, consts: HyperstabConstants, theta_exp: float,
-                  K: float, x: float, z, root_n: int = 3) -> float:
-    """Right-hand side of the deviation bound:
-    ``K sigma^theta [h1 h2 + h3 + h4](x^n, z)^theta / (1 - P^theta)``."""
+def _sup(values) -> float:
+    """``max(0.0, v1, v2, ...)``, folded as a loop of Python ``max`` calls."""
+    return max([0.0, *np.asarray(values, dtype=float).ravel().tolist()])
+
+
+def theorem_bound_rows(model: ErrorModel, consts: HyperstabConstants, theta_exp: float,
+                       K: float, xs, witnesses, root_n: int = 3) -> np.ndarray:
+    """Right-hand side of the deviation bound for every x (rows) and witness z
+    (columns): ``K sigma^theta [h1 h2 + h3 + h4](x^n, z)^theta / (1 - P^theta)``."""
     if consts.P >= 1.0:
         raise ValueError("bound requires P < 1 (index must lie in M0)")
     if not (0.0 < theta_exp <= 1.0):
         raise ValueError("theta must lie in (0,1]")
-    br = model.bracket(x ** root_n, z)
-    return K * consts.sigma ** theta_exp * br ** theta_exp / (1.0 - consts.P ** theta_exp)
+    ts = [x ** root_n for x in xs]
+    br = model.gamma_rows(ts, ts, witnesses)
+    head, den = K * consts.sigma ** theta_exp, 1.0 - consts.P ** theta_exp
+    return np.array([head * b ** theta_exp / den for b in br.ravel().tolist()],
+                    dtype=float).reshape(br.shape)
+
+
+def theorem_bound(model: ErrorModel, consts: HyperstabConstants, theta_exp: float,
+                  K: float, x: float, z, root_n: int = 3) -> float:
+    """The deviation bound at one x and one witness z (see ``theorem_bound_rows``)."""
+    return float(theorem_bound_rows(model, consts, theta_exp, K, [x], [z], root_n)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -574,19 +580,13 @@ def _consistency_scan(eq: EquationParams, f, model: ErrorModel, grid, witnesses,
     """
     ra, rb = eq.root_a, eq.root_b
     n = eq.root_n
-    max_ratio = 0.0
-    for x in grid[:4]:
-        for delta in (3e-6, 1e-5, 1e-4, 1e-3):
-            for sign in (1.0, -1.0):
-                y = sign * (ra / rb) * x * (1.0 + delta)
-                if not admissibility(eq, x, y)[0]:
-                    continue
-                rv = residual(eq, f, x, y)
-                for z in witnesses:
-                    g = model.gamma(x ** n, y ** n, z)
-                    if not math.isfinite(g) or g == 0.0:
-                        continue
-                    max_ratio = max(max_ratio, eval_norm(space, rv, z) / g)
+    pairs = [(x, y) for x in grid[:4] for delta in (3e-6, 1e-5, 1e-4, 1e-3)
+             for y in (sign * (ra / rb) * x * (1.0 + delta) for sign in (1.0, -1.0))
+             if admissibility(eq, x, y)[0]]
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    gam = model.gamma_rows([x ** n for x in xs], [y ** n for y in ys], witnesses).ravel().tolist()
+    nrm = _norm_table(space, residual_rows(eq, f, xs, ys), witnesses).ravel().tolist()
+    max_ratio = _sup([v / g for v, g in zip(nrm, gam) if math.isfinite(g) and g != 0.0])
     return {"max_residual_gamma_ratio": max_ratio, "exceeds_gamma": max_ratio > 1.0}
 
 
@@ -647,24 +647,19 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
                             residual_pairs=config.residual_pairs, seed=config.seed + m, f0=f0)
         except ValueError as exc:
             raise ValueError(f"Q_m for m = {m}: {exc}") from exc
-        sup_dev_rel = 0.0
-        sup_f_qm = 0.0
-        K_obs = 0.0
-        entries = []
-        for x in config.grid:
-            qv = qm.Qm(x)
-            fv = f(x)
-            f0v = f0(x)
-            # relative to f0 where it is nontrivial, else to the input values
-            denom = max(float(np.abs(f0v).max()), 1e-12 * float(np.abs(fv).max()), 1e-300)
-            sup_dev_rel = max(sup_dev_rel, float(np.abs(qv - f0v).max()) / denom)
-            sup_f_qm = max(sup_f_qm, float(np.abs(fv - qv).max()))
-            for z in witnesses:
-                dev_pow = eval_norm(space, fv - qv, z) ** th
-                rhs_unit = theorem_bound(config.model, cst, th, 1.0, x, z, eq.root_n)
-                if math.isfinite(rhs_unit) and rhs_unit > 0:
-                    K_obs = max(K_obs, dev_pow / rhs_unit)
-                entries.append({"x": float(x), "lhs_pow_theta": dev_pow, "rhs_unit_K": rhs_unit})
+        grid = config.grid
+        qv, fv, f0v = qm.Qm.rows(grid), f.rows(grid), f0.rows(grid)
+        # relative to f0 where it is nontrivial, else to the input values
+        denom = np.maximum(np.maximum(np.abs(f0v).max(axis=1), 1e-12 * np.abs(fv).max(axis=1)),
+                           1e-300)
+        sup_dev_rel = _sup(np.abs(qv - f0v).max(axis=1) / denom)
+        sup_f_qm = _sup(np.abs(fv - qv).max(axis=1))
+        dev_pow = [v ** th for v in _norm_table(space, fv - qv, witnesses).ravel().tolist()]
+        rhs_unit = theorem_bound_rows(config.model, cst, th, 1.0, grid, witnesses,
+                                      eq.root_n).ravel().tolist()
+        K_obs = _sup([d / r for d, r in zip(dev_pow, rhs_unit) if math.isfinite(r) and r > 0])
+        entries = [{"x": float(x), "lhs_pow_theta": d, "rhs_unit_K": r}
+                   for x, d, r in zip(np.repeat(grid, len(witnesses)).tolist(), dev_pow, rhs_unit)]
         for e in entries:
             e["bound"] = K_obs * e["rhs_unit_K"]
             e["satisfied"] = e["lhs_pow_theta"] <= e["bound"] * (1.0 + 1e-9) or e["rhs_unit_K"] == math.inf

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ __all__ = [
     "admissibility",
     "is_admissible",
     "residual",
-    "residual_inhom",
+    "residual_rows",
     "make_solution",
     "check_structure",
     "StructureReport",
@@ -159,6 +159,17 @@ class VectorFunction:
             total += t.scalar(x) * t.direction
         return total
 
+    def rows(self, xs) -> np.ndarray:
+        """``[f(x) for x in xs]`` bit for bit as a (len(xs), dim) array: term
+        magnitudes stay scalar pows (numpy's array ``**`` rounds differently)."""
+        xs = [float(x) for x in xs]
+        if 0.0 in xs and any(t.exponent < 0 for t in self.terms):
+            raise ValueError("function with negative exponents is undefined at 0")
+        total = np.tile(self.constant, (len(xs), 1))
+        for t in self.terms:
+            total += np.array([t.scalar(x) for x in xs])[:, None] * t.direction
+        return total
+
     def to_dict(self) -> dict:
         return {
             "terms": [
@@ -183,12 +194,16 @@ def admissibility(eq: EquationParams, x: float, y: float):
     """Return (admissible, reason).  Pairs too close to the excluded diagonal
     ``root(a) x = +- root(b) y`` (within a relative band) are rejected, as are
     zero arguments."""
+    return _admissibility(eq.root_a, eq.root_b, x, y)
+
+
+def _admissibility(root_a: float, root_b: float, x: float, y: float):
     if x == 0.0:
         return False, "x = 0 is excluded from the domain"
     if y == 0.0:
         return False, "y = 0 is excluded from the domain"
-    lx = eq.root_a * x
-    ly = eq.root_b * y
+    lx = root_a * x
+    ly = root_b * y
     band = EXCLUSION_BAND * max(abs(lx), abs(ly))
     if abs(lx - ly) < band:
         return False, "root(a)*x = root(b)*y within the exclusion band"
@@ -208,7 +223,7 @@ def _radical_args(eq: EquationParams, x: float, y: float):
     return real_root(axn + byn, n), real_root(axn - byn, n)
 
 
-def residual(eq: EquationParams, f, x: float, y: float,
+def residual(eq: EquationParams, f: VectorFunction, x: float, y: float,
              check_domain: bool = True) -> np.ndarray:
     """Equation residual LHS - RHS at an admissible pair; error otherwise.
 
@@ -220,13 +235,26 @@ def residual(eq: EquationParams, f, x: float, y: float,
         ok, reason = admissibility(eq, x, y)
         if not ok:
             raise InadmissiblePairError(reason)
-    t1, t2 = _radical_args(eq, x, y)
-    return f(t1) + f(t2) - eq.c * f(x) - eq.d * f(y)
+    return residual_rows(eq, f, [x], [y])[0]
 
 
-def residual_inhom(eq: EquationParams, f, F: Callable, x: float, y: float) -> np.ndarray:
-    """Residual of the inhomogeneous equation: LHS - RHS - F(x, y)."""
-    return residual(eq, f, x, y) - np.asarray(F(x, y), dtype=float)
+def residual_rows(eq: EquationParams, f: VectorFunction, xs, ys, scale: bool = False):
+    """Residuals LHS - RHS of the pairs ``(xs[r], ys[r])`` as rows, from one
+    ``f.rows`` call (no domain check; the radical arguments are scalar roots).
+
+    ``scale=True`` also returns, per pair, ``|f(t1)| + |f(t2)| + |c| |f(x)| +
+    |d| |f(y)|`` in the largest-component norm: the size of the terms that
+    cancel, against which a residual is small or not.
+    """
+    n = len(xs)
+    ts = [t for x, y in zip(xs, ys) for t in _radical_args(eq, x, y)]
+    F = f.rows(ts + list(xs) + list(ys))
+    f1, f2, fx, fy = F[0:2 * n:2], F[1:2 * n:2], F[2 * n:3 * n], F[3 * n:]
+    res = f1 + f2 - eq.c * fx - eq.d * fy
+    if not scale:
+        return res
+    m1, m2, mx, my = (np.abs(v).max(axis=1) for v in (f1, f2, fx, fy))
+    return res, m1 + m2 + abs(eq.c) * mx + abs(eq.d) * my
 
 
 def make_solution(eq: EquationParams, theta_coef: float, w, direction) -> VectorFunction:
@@ -321,13 +349,15 @@ def sample_admissible_pairs(eq: EquationParams, lo: float, hi: float, n: int,
     ``DRAWS_PER_PAIR * n`` draws, so the draws for n pairs are a prefix of
     the draws for more pairs from the same generator state.
     """
+    ra, rb = eq.root_a, eq.root_b
     found = 0
     for _ in range(DRAWS_PER_PAIR * n):
         if found == n:
             return
-        x = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
-        y = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
-        ok = admissibility(eq, x, y)[0]
+        # an integer index draws the same stream as rng.choice([-1.0, 1.0])
+        x = rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(2)]
+        y = rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(2)]
+        ok = _admissibility(ra, rb, x, y)[0]
         found += ok
         yield x, y, ok
 

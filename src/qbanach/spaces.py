@@ -208,6 +208,21 @@ def eval_norm(space: SpaceDescriptor, x, y) -> float:
     return float(eval_norm_rows(space, xv[None, :], yv[None, :])[0])
 
 
+def _norm_table(space: SpaceDescriptor, X, witnesses) -> np.ndarray:
+    """``|X[r], witnesses[j]|`` for every row r and witness j, as a (rows,
+    witnesses) array from one ``eval_norm_rows`` call; both operands get
+    ``eval_norm``'s dimension and finiteness checks."""
+    X = np.asarray(X, dtype=float)
+    W = np.asarray(witnesses, dtype=float)
+    for A in (X, W):
+        if A.ndim != 2 or A.shape[1] != space.dim:
+            raise ValueError(f"dimension mismatch: expected {space.dim}, got {A.shape[-1]}")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("vector entries must be finite")
+    return eval_norm_rows(space, np.repeat(X, len(W), axis=0),
+                          np.tile(W, (len(X), 1))).reshape(len(X), len(W))
+
+
 def is_dependent(x, y, tol: float = REL_TOL) -> bool:
     """Rank test for the pair: largest 2x2 minor against ``tol * scale``."""
     xv = _as_vector(x)

@@ -355,3 +355,24 @@ def test_hyperstab_diverging_Qm_names_the_index_without_numpy_warnings(tmp_path)
     assert proc.stderr.startswith(
         "error: Q_m for m = 2: fixed-point iteration step 96: non-finite iterate"), proc.stderr
     assert not (tmp_path / "hyperstab_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["HYPERSTAB", "FIXED_POINT"])
+def test_empty_witness_list_is_rejected_with_its_path(command, tmp_path, capsys):
+    # with witnesses this Q_m diverges at step 96; without them every sup-step
+    # read 0 and each m was reported converged after 3 steps
+    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
+    payload["perturbation"]["exponent"] = 9.0
+    payload["tolerances"]["qm_n_max"] = 400
+    if command == "FIXED_POINT":
+        payload = {"space": {"family": "CROSS_2NORM"}, "branches": [{"scale": 2.0, "coef": 1.0}],
+                   "phi": {"terms": [{"coef": 1.0, "exponent": 3.0, "direction": [1.0, 0.0, 0.0]}]},
+                   "error_terms": [{"c": 1.0, "s": 3.0}], "samples": [1.0]}
+    payload["witnesses"] = []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(command, payload))
+    code = main([command.lower().replace("_", "-"), "--config", str(cfg_path),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "payload.witnesses: at least 1 item(s) required" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))

@@ -6,7 +6,7 @@ import pytest
 from qbanach.hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig,
                                HyperstabConstants, compute_Qm, constants,
                                expand_T_power, find_M0, run_experiment,
-                               s_multiplier, s_multiplier_sampled, scale_powers,
+                               s_multiplier, scale_powers,
                                sequences, sextic_defect, theorem_bound)
 from qbanach.radical import EquationParams, Term, VectorFunction, make_solution
 from qbanach.spaces import cross_2norm
@@ -57,20 +57,6 @@ def test_s_multiplier_closed_form():
         assert s_multiplier(ErrorComponent(1.0, p, Y_DIR), 1.0, alpha=0.5) == 1.0
     with pytest.raises(ValueError):
         s_multiplier(comp, 0.0)
-
-
-def test_s_multiplier_sampled_agrees():
-    rng = np.random.default_rng(21)
-    model = reference_model()
-    worst = 0.0
-    for _ in range(1000):
-        i = int(rng.integers(0, 4))
-        comp = model.components[i]
-        rho = float(rng.uniform(0.2, 20.0) * rng.choice([-1.0, 1.0]))
-        closed = s_multiplier(comp, rho, model.alpha)
-        sampled = s_multiplier_sampled(comp, rho, model, trials=8, seed=int(rng.integers(1e6)))
-        worst = max(worst, abs(sampled - closed) / closed)
-    assert worst < 1e-9
 
 
 def test_constants_reference_value():
@@ -541,3 +527,16 @@ def test_compute_Qm_space_without_witnesses_is_rejected():
     f0 = make_solution(eq, 1.0, None, E1)
     with pytest.raises(ValueError, match="needs witnesses"):
         compute_Qm(eq, f0, 2, [1.0], space=cross_2norm(), witnesses=None)
+
+
+def test_compute_Qm_without_witnesses_raises_instead_of_converging():
+    # |x|^9 grows under T_2; with no witnesses every sup-step read 0 and the
+    # run was reported converged after 3 iterations
+    eq = EquationParams(1, 1, 2, 2)
+    f = VectorFunction(terms=[Term(coef=1.0, exponent=9.0, mode="ABS", direction=E1)])
+    with pytest.raises(ValueError, match="step 1: no witnesses"):
+        compute_Qm(eq, f, 2, [1.0], n_max=50, residual_pairs=0, space=cross_2norm(),
+                   witnesses=[])
+    qm = compute_Qm(eq, f, 2, [1.0], n_max=50, residual_pairs=0, space=cross_2norm(),
+                    witnesses=WITNESSES)
+    assert not qm.converged

@@ -4,7 +4,7 @@ import pytest
 from qbanach.radical import (DRAWS_PER_PAIR, EquationParams, InadmissiblePairError,
                              NoExactSolutionError, Term, VectorFunction, check_structure,
                              is_admissible, make_solution, pair_shortfall, real_root,
-                             residual, residual_inhom, sample_admissible_pairs)
+                             residual, sample_admissible_pairs)
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -150,22 +150,6 @@ def test_check_structure_validates_grid():
         check_structure(eq, f, [])
     with pytest.raises(ValueError):
         check_structure(eq, f, [1.0, 0.0])
-
-
-def test_residual_inhom_reduces_and_cancels():
-    eq = EquationParams(1, 1, 2, 2)
-    g = VectorFunction(terms=[Term(coef=0.3, exponent=2.0, mode="ABS", direction=E1)])
-    x, y = 1.3, 0.4
-    # F = 0 reduces to the plain residual
-    val = residual_inhom(eq, g, lambda a, b: np.zeros(3), x, y)
-    assert np.allclose(val, residual(eq, g, x, y))
-    # F = residual of g makes g an exact solution of the inhomogeneous equation
-    F = lambda a, b: residual(eq, g, a, b)
-    assert np.abs(residual_inhom(eq, g, F, x, y)).max() <= 1e-14
-    # adding a homogeneous solution preserves it (linearity)
-    f0 = make_solution(eq, 1.0, None, E1)
-    fsum = VectorFunction(terms=list(f0.terms) + list(g.terms))
-    assert np.abs(residual_inhom(eq, fsum, F, x, y)).max() <= 1e-10 * (1 + abs(x) ** 6)
 
 
 def test_proposition_correspondence_general_quadratic():

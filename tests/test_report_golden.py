@@ -55,7 +55,23 @@ def golden_configs():
                      [0.75, -1.5]),
         _fixed_point("fixed_point_powered", {"family": "POWERED", "beta": 0.5, "base": cross},
                      [-0.5, 1.25, 3.0]),
+        ("hyperstab_lp_gmap_signed", _hyperstab_lp(reference)),
     ]
+
+
+def _hyperstab_lp(reference):
+    # the reference experiment on LP_CROSS(0.5) with a CROSS_2NORM majorant
+    # behind a non-identity g map, a constant w and a SIGNED perturbation
+    config = json.loads(json.dumps(reference))
+    payload = config["payload"]
+    payload["space"] = {"family": "LP_CROSS", "p": 0.5, "kappa": 2.0}
+    payload["aux_space"] = {"family": "CROSS_2NORM"}
+    payload["error_model"]["g_map"] = {"matrix": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                                  [0.0, 0.0, 2.0]]}
+    payload["equation"] = {"a": 0.6, "b": 0.8, "c": 0.72, "d": 1.28}
+    payload["solution"]["w"] = [0.25, -0.5, 0.125]
+    payload["perturbation"]["mode"] = "SIGNED"
+    return config
 
 
 def run_case(config: dict, out_dir: str) -> dict:
