@@ -15,7 +15,6 @@ error (a numeric failure such as an overflow included).
 
 from __future__ import annotations
 
-import argparse
 import csv
 import datetime
 import io
@@ -631,7 +630,8 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
     }
     try:
         path = os.path.join(out_dir, f"{config.command.lower()}_report.json")
-        _atomic_write(path, json.dumps(document, sort_keys=True, indent=2) + "\n")
+        # one line: json's C encoder serves only dumps without an indent
+        _atomic_write(path, json.dumps(document, sort_keys=True) + "\n")
         if config.format == "csv":
             emit_csv(_tabular_sections(config.command, body), out_dir)
     except OSError as exc:
@@ -641,6 +641,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line needs it: importing cli stays lean
     parser = argparse.ArgumentParser(
         prog="hyperstab",
         description="Quasi-(2,beta) space checks, envelope computation, "

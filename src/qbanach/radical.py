@@ -194,22 +194,24 @@ def admissibility(eq: EquationParams, x: float, y: float):
     """Return (admissible, reason).  Pairs too close to the excluded diagonal
     ``root(a) x = +- root(b) y`` (within a relative band) are rejected, as are
     zero arguments."""
-    return _admissibility(eq.root_a, eq.root_b, x, y)
-
-
-def _admissibility(root_a: float, root_b: float, x: float, y: float):
     if x == 0.0:
         return False, "x = 0 is excluded from the domain"
     if y == 0.0:
         return False, "y = 0 is excluded from the domain"
-    lx = root_a * x
-    ly = root_b * y
-    band = EXCLUSION_BAND * max(abs(lx), abs(ly))
-    if abs(lx - ly) < band:
+    near_plus, near_minus = _in_band(eq.root_a * x, eq.root_b * y)
+    if near_plus:
         return False, "root(a)*x = root(b)*y within the exclusion band"
-    if abs(lx + ly) < band:
+    if near_minus:
         return False, "root(a)*x = -root(b)*y within the exclusion band"
     return True, None
+
+
+def _in_band(lx, ly):
+    """``(lx = ly, lx = -ly)`` within the relative exclusion band: the one band
+    rule, for floats and float64 arrays alike (its ``*``, ``abs``, maximum,
+    ``+``, ``-`` and ``<`` round the same on both)."""
+    band = EXCLUSION_BAND * np.maximum(abs(lx), abs(ly))
+    return abs(lx - ly) < band, abs(lx + ly) < band
 
 
 def is_admissible(eq: EquationParams, x: float, y: float) -> bool:
@@ -344,22 +346,37 @@ def sample_admissible_pairs(eq: EquationParams, lo: float, hi: float, n: int,
                             rng: np.random.Generator):
     """Draw residual pairs: yield ``(x, y, admissible)`` for every draw.
 
-    x and then y are each ``uniform(lo, hi)`` times a random sign.  The
-    generator stops once ``n`` draws were admissible or after
-    ``DRAWS_PER_PAIR * n`` draws, so the draws for n pairs are a prefix of
-    the draws for more pairs from the same generator state.
+    x and then y are each ``rng.uniform(lo, hi)`` times the sign
+    ``(-1.0, 1.0)[rng.integers(2)]``, read in blocks of ``random_raw`` words:
+    on a PCG64 with no buffered 32-bit half a draw takes three, x is ``lo +
+    (hi - lo) (w0 >> 11) 2^-53`` with sign bit 31 of w1, y the same of w2 with
+    bit 63 of w1 (range-2 Lemire draws never reject).  Other generators raise
+    ``ValueError``.  The generator stops once ``n`` draws were admissible or
+    after ``DRAWS_PER_PAIR * n`` draws, so the draws for n pairs are a prefix
+    of the draws for more pairs from the same generator state; blocks
+    overdraw, so the state afterwards is unspecified.
     """
-    ra, rb = eq.root_a, eq.root_b
-    found = 0
-    for _ in range(DRAWS_PER_PAIR * n):
-        if found == n:
-            return
-        # an integer index draws the same stream as rng.choice([-1.0, 1.0])
-        x = rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(2)]
-        y = rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(2)]
-        ok = _admissibility(ra, rb, x, y)[0]
-        found += ok
-        yield x, y, ok
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64) or bitgen.state["has_uint32"]:
+        raise ValueError("the pair sampler needs a PCG64 with no buffered 32-bit half")
+    lo, width = float(lo), float(hi) - float(lo)
+    if not 0.0 <= width < math.inf:
+        raise ValueError(f"the pair sampler needs finite lo <= hi, got {lo}, {hi}")
+    found, left = 0, DRAWS_PER_PAIR * n
+    while found < n and left:
+        k = min(2 * (n - found) + 8, left)
+        left -= k
+        w = bitgen.random_raw(3 * k).reshape(k, 3)
+        signs = np.where(w[:, 1:2] >> np.uint64([31, 63]) & 1, 1.0, -1.0)
+        xs, ys = (signs * (lo + width * ((w[:, 0::2] >> 11) * 2.0 ** -53))).T
+        near_plus, near_minus = _in_band(eq.root_a * xs, eq.root_b * ys)
+        oks = (xs != 0.0) & (ys != 0.0) & ~near_plus & ~near_minus
+        # Python floats out: a float64 x would round differently in x ** n
+        for x, y, ok in zip(xs.tolist(), ys.tolist(), oks.tolist()):
+            yield x, y, ok
+            found += ok
+            if found == n:
+                return
 
 
 def pair_shortfall(requested: int, admissible: int) -> dict:

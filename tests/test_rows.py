@@ -1,7 +1,8 @@
 """Row forms of the per-pair work against their one-point oracles, bit for bit.
 
 The residual check of Q_m, the bound loop and the consistency scan of
-``hyperstab`` and the residual loop of ``solve`` run on row arrays.  Powers
+``hyperstab`` and the residual loop of ``solve`` run on row arrays, and the
+residual-pair sampler draws its pairs in blocks of raw PCG64 words.  Powers
 stay scalar pows per element, so every row form must equal the point-by-point
 evaluation exactly; ``float.hex`` is compared, so signed zeros count and every
 NaN equals every NaN.
@@ -14,12 +15,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbanach import cli, spaces
 from qbanach.hyperstab import (ErrorComponent, ErrorModel, HyperstabConstants, theorem_bound,
                                theorem_bound_rows)
-from qbanach.radical import (EquationParams, Term, VectorFunction, real_root, residual,
-                             residual_rows, sample_admissible_pairs)
+from qbanach.radical import (DRAWS_PER_PAIR, EquationParams, Term, VectorFunction,
+                             admissibility, real_root, residual, residual_rows,
+                             sample_admissible_pairs)
 from qbanach.spaces import cross_2norm, eval_norm, lp_cross, power_space, scaled_space
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -245,3 +249,88 @@ def test_reference_hyperstab_makes_no_scalar_norm_calls(tmp_path, monkeypatch):
     assert cli.run(config, out_dir=str(tmp_path)) == 0
     assert calls["eval_norm"] == 0
     assert 0 < calls["eval_norm_rows"] <= 90
+
+
+def _per_draw_pairs(eq, lo, hi, n, rng):
+    """The pair sampler as four ``Generator`` calls per draw: the oracle of the
+    block form's stream."""
+    found = 0
+    for _ in range(DRAWS_PER_PAIR * n):
+        if found == n:
+            return
+        x = rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(2)]
+        y = rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(2)]
+        ok = admissibility(eq, x, y)[0]
+        found += ok
+        yield x, y, ok
+
+
+def _draw_hexes(draws):
+    out = []
+    for x, y, ok in draws:
+        assert type(x) is float and type(y) is float and type(ok) is bool
+        out.append((x.hex(), y.hex(), ok))
+    return out
+
+
+def _assert_same_stream(eq, lo, hi, n, seed):
+    got = _draw_hexes(sample_admissible_pairs(eq, lo, hi, n, np.random.default_rng(seed)))
+    assert got == _draw_hexes(_per_draw_pairs(eq, lo, hi, n, np.random.default_rng(seed)))
+    return got
+
+
+# (1.0, 1.0000013) with a = b admits ~5 % of the draws, so n = 50 ends at
+# the draw cap with a few admissible pairs; (1.0, 1.0) admits none
+@pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (1.0, 1.000003), (1.0, 1.0), (1e-3, 7.3),
+                                    (1.0, 1.0000013)])
+@pytest.mark.parametrize("eq", [EquationParams(1.0, 1.0, 2.0, 2.0),
+                                EquationParams(2.0, -0.5, 8.0, 0.5, root_n=5)],
+                         ids=["a=b", "quintic"])
+def test_block_pair_sampler_equals_the_per_draw_loop(eq, lo, hi):
+    for seed in (0, 7, 2024):
+        for n in (0, 1, 7, 50, 400):
+            draws = _assert_same_stream(eq, lo, hi, n, seed)
+            found = sum(ok for _, _, ok in draws)
+            assert found == n or len(draws) == DRAWS_PER_PAIR * n
+
+
+def test_block_pair_sampler_stops_at_the_draw_cap_with_a_shortfall():
+    capped = _assert_same_stream(EquationParams(1.0, 1.0, 2.0, 2.0), 1.0, 1.0000013, 50, 3)
+    assert len(capped) == DRAWS_PER_PAIR * 50 and 0 < sum(ok for _, _, ok in capped) < 50
+
+
+@given(seed=st.integers(0, 2 ** 32), lo=st.floats(1e-3, 10.0), width=st.floats(0.0, 10.0),
+       n=st.integers(0, 50),
+       a=st.floats(-4.0, 4.0).filter(lambda v: abs(v) > 1e-3),
+       b=st.floats(-4.0, 4.0).filter(lambda v: abs(v) > 1e-3))
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+def test_block_pair_sampler_equals_the_per_draw_loop_property(seed, lo, width, n, a, b):
+    _assert_same_stream(EquationParams(a, b, 1.0, 1.0), lo, lo + width, n, seed)
+
+
+def test_pair_sampler_refuses_generators_it_cannot_read_in_blocks():
+    eq = EquationParams(1.0, 1.0, 2.0, 2.0)
+    with pytest.raises(ValueError, match="PCG64"):
+        next(sample_admissible_pairs(eq, 0.5, 2.0, 5, np.random.Generator(np.random.Philox(0))))
+    rng = np.random.default_rng(1)
+    rng.integers(2)  # leaves the high half of a word buffered
+    with pytest.raises(ValueError, match="buffered 32-bit half"):
+        next(sample_admissible_pairs(eq, 0.5, 2.0, 5, rng))
+    with pytest.raises(ValueError, match="lo <= hi"):
+        next(sample_admissible_pairs(eq, 2.0, 0.5, 5, np.random.default_rng(1)))
+
+
+class _CountingPCG64(np.random.PCG64):
+    calls = 0
+
+    def random_raw(self, size=None, output=True):
+        self.calls += 1
+        return super().random_raw(size, output)
+
+
+def test_pair_sampler_draws_400_pairs_in_at_most_two_blocks():
+    bitgen = _CountingPCG64(11)
+    draws = list(sample_admissible_pairs(EquationParams(1.0, 1.0, 2.0, 2.0), 0.5, 2.0, 400,
+                                         np.random.Generator(bitgen)))
+    assert sum(ok for _, _, ok in draws) == 400
+    assert 1 <= bitgen.calls <= 2
