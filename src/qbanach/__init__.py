@@ -6,18 +6,17 @@ hyperstability experiments."""
 
 from .envelope import (EnvelopeResult, check_p_triangle, envelope_norm, envelope_norm_rows,
                        theta)
-from .fixedpoint import (Branch, IterationSpec, ScalarErrorFn, apply_Lambda, apply_T,
-                         check_uniqueness_condition, epsilon_star, geometric_bound,
-                         iterate, load_sample_grid)
+from .fixedpoint import (Branch, IterationSpec, ScalarErrorFn, apply_T,
+                         check_uniqueness_condition, epsilon_star, iterate, load_sample_grid)
 from .hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig, ExpansionTable,
                         HyperstabConstants, compute_Qm, constants, expand_T_power,
                         find_M0, radical_iteration_spec, run_experiment,
-                        s_multiplier, sequences, sextic_defect, theorem_bound)
+                        s_multiplier, sequences, theorem_bound)
 from .radical import (EquationParams, InadmissiblePairError, NoExactSolutionError,
                       Term, VectorFunction, check_structure, is_admissible,
                       make_solution, real_root, residual)
 from .spaces import (AxiomReport, SpaceDescriptor, check_axioms, cross_2norm,
-                     estimate_kappa, eval_norm, is_dependent, lp_cross, power_space,
+                     estimate_kappa, eval_norm, lp_cross, power_space,
                      scaled_space, space_from_dict)
 
 __version__ = "0.1.0"

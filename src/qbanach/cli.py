@@ -437,7 +437,11 @@ def _run_check_space(payload, seed):
     kest = estimate_kappa(space, payload["trials"], seed)
     body = {"axioms": report.to_dict(), "kappa_estimate": kest,
             "space": space.to_dict(), "trials": payload["trials"]}
-    return body, 0 if report.total_violations == 0 else 2
+    if report.degenerate == report.trials:
+        # B4 compared no triple: kappa_observed 0.0 and no B4 count mean nothing
+        body["violations"] = [{"name": "no valid B4 triples",
+                               "degenerate_triples": report.degenerate}]
+    return body, 0 if report.total_violations == 0 and "violations" not in body else 2
 
 
 def _run_envelope(payload, seed):
@@ -480,7 +484,10 @@ def _run_fixed_point(payload, seed):
     report = iterate(spec, phi, eps, samples, payload["witnesses"],
                      tol=payload["tol"], n_max=payload["n_max"])
     body = {"spec": spec.to_dict(), "report": report.to_dict()}
-    return body, 0 if report.converged else 2
+    if not report.eps_star_converged:
+        rho, s = max((rho, s) for (c, s), rho in zip(eps.terms, eps.rates(spec)) if c > 0)
+        body["violations"] = [{"name": "divergent eps_star", "rho": rho, "exponent": s}]
+    return body, 0 if report.converged and report.eps_star_converged else 2
 
 
 _GRID_ROWS = 1000  # sampled pairs listed in the solve report

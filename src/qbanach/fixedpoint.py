@@ -40,13 +40,10 @@ __all__ = [
     "IterationSpec",
     "ScalarErrorFn",
     "EpsilonStarResult",
-    "GeometricBound",
     "UniquenessCheck",
     "FixedPointReport",
     "apply_T",
-    "apply_Lambda",
     "epsilon_star",
-    "geometric_bound",
     "iterate",
     "check_uniqueness_condition",
     "load_sample_grid",
@@ -144,14 +141,16 @@ class ScalarErrorFn:
             total *= self.weight(z)
         return total
 
+    def rates(self, spec: IterationSpec) -> list:
+        """``rho_s = sum_i L_i |scale_i|^s`` for each term (c, s)."""
+        L = spec.weights
+        return [sum(Li * abs(br.scale) ** s for Li, br in zip(L, spec.branches))
+                for _, s in self.terms]
+
     def lambda_image(self, spec: IterationSpec) -> "ScalarErrorFn":
         """Closed-form image under Lambda: term (c, s) -> (c * rho_s, s)."""
-        L = spec.weights
-        new_terms = []
-        for c, s in self.terms:
-            rho = sum(Li * abs(br.scale) ** s for Li, br in zip(L, spec.branches))
-            new_terms.append((c * rho, s))
-        return ScalarErrorFn(new_terms, weight=self.weight)
+        return ScalarErrorFn([(c * rho, s) for (c, s), rho in zip(self.terms, self.rates(spec))],
+                             weight=self.weight)
 
 
 def _call_fn(f, x: float):
@@ -169,86 +168,66 @@ def apply_T(spec: IterationSpec, f, x: float) -> np.ndarray:
     return total
 
 
-def apply_Lambda(spec: IterationSpec, delta: ScalarErrorFn, x: float, z=None):
-    """Numeric value of (Lambda delta)(x) plus the closed-form image."""
-    if x == 0.0:
-        raise ValueError("x = 0 is outside the domain of the operator")
-    L = spec.weights
-    value = sum(Li * delta.eval(br.scale * x, z) for Li, br in zip(L, spec.branches))
-    return value, delta.lambda_image(spec)
-
-
 @dataclass
 class EpsilonStarResult:
+    """Bracket ``[lower, value]`` of a Lambda^n eps series.  ``converged``
+    means the series is finite; ``value`` is then a certified upper bound
+    even when ``terms_used`` reached ``n_max``, and both ends are inf when
+    the series diverges."""
+
+    lower: float
     value: float
     converged: bool
     terms_used: int
 
 
-def epsilon_star(spec: IterationSpec, eps: ScalarErrorFn, x: float, theta_exp: float,
-                 tol: float = 1e-12, n_max: int = 512, z=None) -> EpsilonStarResult:
-    """Sum of the theta-powered iterated error series at x.
+def _series_bracket(spec: IterationSpec, eps: ScalarErrorFn, x: float, power: float,
+                    tol: float, n_max: int) -> EpsilonStarResult:
+    """Bracket of ``sum_{n>=0} ((Lambda^n eps)(x))^power`` for 0 < power <= 1.
 
-    Uses the closed-form power-term recursion; stops when the current term
-    falls below ``tol * partial_sum`` or after ``n_max`` terms.  A persistent
-    term ratio >= 1 is reported as divergence, not raised.
+    With a_k = c_k |x|^{s_k}, Lambda^n eps(x) = sum_k a_k rho_k^n, so the
+    series is finite iff rho_k < 1 for every term with c_k > 0.  t^power is
+    subadditive, so after N terms the tail is at most
+    sum_k a_k^power rho_k^(N power) / (1 - rho_k^power); terms are added
+    until that bound is at most ``tol`` times the partial sum, or for
+    ``n_max`` terms.  Both ends are rounded outward by 4N units of 2^-53,
+    which covers the arithmetic of the series; the rates rho_k are taken as
+    ``ScalarErrorFn.rates`` computes them.
     """
+    live = [(c * abs(x) ** s, rho) for (c, s), rho in zip(eps.terms, eps.rates(spec)) if c > 0]
+    if any(rho >= 1.0 for _, rho in live):
+        return EpsilonStarResult(math.inf, math.inf, False, 0)
+    # the powered terms u_k = (a_k rho_k^n)^power: a_k rho_k^n itself would
+    # underflow while its power still counts (rho = 1e-10, power = 0.01)
+    us = [a ** power for a, _ in live]
+    steps = [rho ** power for _, rho in live]
+    # 1 - rho^power, accurate when rho^power is close to 1
+    gaps = [-math.expm1(power * math.log(rho)) if rho > 0 else 1.0 for _, rho in live]
+    partial = 0.0
+    for n in range(1, n_max + 1):
+        # (sum_k u_k^(1/power))^power, scaled by the largest u_k; an
+        # overflowed a_k makes every sum inf
+        top = max(us, default=0.0)
+        if 0.0 < top < math.inf:
+            top *= sum((u / top) ** (1.0 / power) for u in us) ** power
+        partial += top
+        us = [u * q for u, q in zip(us, steps)]
+        tail = sum(u / g for u, g in zip(us, gaps))
+        if tail <= tol * partial:
+            break
+    slack = 4 * n * 2.0 ** -53
+    return EpsilonStarResult(partial * (1.0 - slack), (partial + tail) * (1.0 + slack), True, n)
+
+
+def epsilon_star(spec: IterationSpec, eps: ScalarErrorFn, x: float, theta_exp: float,
+                 tol: float = 1e-12, n_max: int = 512) -> EpsilonStarResult:
+    """The theta-powered error series ``sum_n ((Lambda^n eps)(x))^theta`` at x,
+    as the certified bracket of ``_series_bracket``."""
     if not (0.0 < theta_exp <= 1.0):
         raise ValueError("theta must lie in (0,1]")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    current = eps
-    total = 0.0
-    prev_term = None
-    rising = 0
-    for n in range(n_max):
-        term = current.eval(x, z) ** theta_exp
-        total += term
-        if term == 0.0:
-            return EpsilonStarResult(total, True, n + 1)
-        if total > 0 and term < tol * total:
-            return EpsilonStarResult(total, True, n + 1)
-        if prev_term is not None:
-            if term >= prev_term:
-                rising += 1
-                if rising >= 8:
-                    return EpsilonStarResult(math.inf, False, n + 1)
-            else:
-                rising = 0
-        prev_term = term
-        current = current.lambda_image(spec)
-    # undecided after n_max terms: condition on the trailing ratio
-    converged = prev_term is not None and total > 0 and prev_term < tol * total
-    return EpsilonStarResult(total if converged else math.inf, converged, n_max)
-
-
-@dataclass
-class GeometricBound:
-    """Closed-form bounds for the geometric case (Lambda eps = q eps).
-
-    ``bound`` is the deviation bound ``eps^theta / (1 - q^theta)``;
-    ``crude_bound`` is the uniqueness-side quantity ``eps^theta / (1-q)^theta``.
-    Concavity of t^theta gives ``q^theta + (1-q)^theta >= 1`` for theta <= 1,
-    so ``bound >= crude_bound`` with equality exactly at theta = 1 or q = 0:
-    the theta-powered series needs the larger constant on the uniqueness side.
-    """
-
-    bound: float
-    crude_bound: float
-
-    def __post_init__(self):
-        if self.bound < self.crude_bound * (1.0 - 1e-12):
-            raise AssertionError("geometric bound fell below its theta=1 floor")
-
-
-def geometric_bound(eps_value: float, q: float, theta_exp: float) -> GeometricBound:
-    if not (0.0 <= q < 1.0):
-        raise ValueError("q must lie in [0,1)")
-    if not (0.0 < theta_exp <= 1.0):
-        raise ValueError("theta must lie in (0,1]")
-    num = eps_value ** theta_exp
-    return GeometricBound(bound=num / (1.0 - q ** theta_exp),
-                          crude_bound=num / (1.0 - q) ** theta_exp)
+    return _series_bracket(spec, eps, x, theta_exp, tol, n_max)
 
 
 @dataclass
@@ -262,53 +241,21 @@ class UniquenessCheck:
         return self.satisfied
 
 
-def _series_with_tail(spec: IterationSpec, eps: ScalarErrorFn, x: float,
-                      power: float, n_max: int):
-    """Partial sum of (Lambda^n eps)^power plus a certified geometric tail.
-
-    Returns (lower, upper, divergent); the tail bound comes from the observed
-    trailing term ratio when it is < 1.
-    """
-    current = eps
-    total = 0.0
-    prev = None
-    ratio = None
-    for _ in range(n_max):
-        term = current.eval(x) ** power
-        total += term
-        if term == 0.0:
-            return total, total, False
-        if prev is not None and prev > 0:
-            ratio = term / prev
-        prev = term
-        current = current.lambda_image(spec)
-    if ratio is None:
-        return total, total, False
-    if ratio >= 1.0:
-        return total, math.inf, True
-    tail = prev * ratio / (1.0 - ratio)
-    return total, total + tail, False
-
-
 def check_uniqueness_condition(spec: IterationSpec, eps: ScalarErrorFn, x: float,
                                theta_exp: float, M: float, n_max: int = 256) -> UniquenessCheck:
-    """Test ``sum (Lambda^n eps)^theta <= (M sum Lambda^n eps)^theta``.
-
-    Both series are evaluated by partial sums with geometric tail
-    certification; a divergent plain series yields ``satisfied = False`` with
-    the divergent flag set.
+    """Test ``sum (Lambda^n eps)^theta <= (M sum Lambda^n eps)^theta`` with the
+    upper end of the left bracket against the lower end of the right one,
+    with relative slack 1e-12; both series diverge together (rho >= 1 at any
+    power), and then ``satisfied = False`` with the divergent flag set.
     """
     if M <= 0:
         raise ValueError("M must be positive")
-    lhs_lo, lhs_hi, lhs_div = _series_with_tail(spec, eps, x, theta_exp, n_max)
-    plain_lo, plain_hi, plain_div = _series_with_tail(spec, eps, x, 1.0, n_max)
-    if plain_div:
-        return UniquenessCheck(False, True, lhs_hi, math.inf)
-    if lhs_div:
-        return UniquenessCheck(False, True, math.inf, (M * plain_hi) ** theta_exp)
-    rhs = (M * plain_lo) ** theta_exp
-    satisfied = lhs_hi <= rhs * (1.0 + 1e-12)
-    return UniquenessCheck(satisfied, False, lhs_hi, rhs)
+    # tol far below the comparison slack, so a tie (theta = M = 1) passes
+    lhs = _series_bracket(spec, eps, x, theta_exp, 1e-14, n_max)
+    if not lhs.converged:
+        return UniquenessCheck(False, True, math.inf, math.inf)
+    rhs = (M * _series_bracket(spec, eps, x, 1.0, 1e-14, n_max).lower) ** theta_exp
+    return UniquenessCheck(lhs.value <= rhs * (1.0 + 1e-12), False, lhs.value, rhs)
 
 
 # ---------------------------------------------------------------------------

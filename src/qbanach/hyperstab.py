@@ -63,7 +63,6 @@ __all__ = [
     "find_M0",
     "expand_T_power",
     "radical_iteration_spec",
-    "sextic_defect",
     "compute_Qm",
     "theorem_bound",
     "theorem_bound_rows",
@@ -367,11 +366,6 @@ def expand_T_power(eq: EquationParams, m: int, n: int) -> ExpansionTable:
     entries = [ExpansionEntry(i=i, j=j, k=k, coeff=coeff, scale=scale)
                for (i, j, k), coeff, scale in zip(E.tolist(), coeffs.tolist(), scales.tolist())]
     return ExpansionTable(eq=eq, m=m, n=n, entries=entries)
-
-
-def sextic_defect(eq: EquationParams, m: int) -> float:
-    """|c u^(2n) + d v^(2n) - w^(2n) - 1| in exact rational arithmetic."""
-    return expand_T_power(eq, m, 1).sextic_identity_error()
 
 
 def radical_iteration_spec(eq: EquationParams, m: int, space: Optional[SpaceDescriptor]):

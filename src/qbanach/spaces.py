@@ -37,7 +37,6 @@ __all__ = [
     "eval_norm_rows",
     "check_axioms",
     "estimate_kappa",
-    "is_dependent",
     "space_from_dict",
 ]
 
@@ -221,19 +220,6 @@ def _norm_table(space: SpaceDescriptor, X, witnesses) -> np.ndarray:
             raise ValueError("vector entries must be finite")
     return eval_norm_rows(space, np.repeat(X, len(W), axis=0),
                           np.tile(W, (len(X), 1))).reshape(len(X), len(W))
-
-
-def is_dependent(x, y, tol: float = REL_TOL) -> bool:
-    """Rank test for the pair: largest 2x2 minor against ``tol * scale``."""
-    xv = _as_vector(x)
-    yv = _as_vector(y, xv.shape[0])
-    best = 0.0
-    n = xv.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = max(best, abs(xv[i] * yv[j] - xv[j] * yv[i]))
-    scale = np.abs(xv).max() * np.abs(yv).max()
-    return best <= tol * scale
 
 
 # ---------------------------------------------------------------------------

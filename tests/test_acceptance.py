@@ -12,8 +12,7 @@ import pytest
 
 from qbanach.envelope import check_p_triangle, envelope_norm, theta
 from qbanach.fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate
-from qbanach.hyperstab import (ExperimentConfig, expand_T_power, run_experiment,
-                               sequences, sextic_defect)
+from qbanach.hyperstab import ExperimentConfig, expand_T_power, run_experiment, sequences
 from qbanach.radical import (EquationParams, Term, VectorFunction, check_structure,
                              make_solution, real_root)
 from qbanach.spaces import (check_axioms, cross_2norm, estimate_kappa, eval_norm,
@@ -113,7 +112,7 @@ def test_criterion_5_sextic_eigen_identity():
     for a, b in AB_GRID:
         eq = EquationParams(a, b, 2 * a * a, 2 * b * b)
         for m in range(2, 51):
-            worst = max(worst, sextic_defect(eq, m))
+            worst = max(worst, expand_T_power(eq, m, 1).sextic_identity_error())
     assert worst < 1e-9, worst
     _report(5, f"|c u^6 + d v^6 - w^6 - 1| <= {worst:.1e} over m in 2..50, 3 (a,b) pairs")
 

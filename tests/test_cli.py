@@ -72,6 +72,7 @@ def test_run_check_space_clean(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "check_space_report.json").read_text())
     assert doc["report"]["axioms"]["total_violations"] == 0
+    assert "violations" not in doc["report"]
     assert "timestamp" in doc["metadata"]
 
 
@@ -83,6 +84,19 @@ def test_run_check_space_underdeclared_kappa_exits_2(tmp_path):
     assert code == 2
     doc = json.loads((tmp_path / "check_space_report.json").read_text())
     assert doc["report"]["axioms"]["violations"]["B4"]["count"] > 0
+
+
+def test_run_check_space_without_valid_b4_triples_exits_2(tmp_path):
+    # at factor 1e-14 every B4 denominator is below the degeneracy threshold,
+    # so B4 compares nothing: kappa_observed 0.0 is no evidence
+    cfg = parse_config(make_config("CHECK_SPACE", {
+        "space": {"family": "SCALED", "factor": 1e-14, "base": {"family": "CROSS_2NORM"}},
+        "trials": 200}))
+    assert run(cfg, out_dir=str(tmp_path)) == 2
+    body = json.loads((tmp_path / "check_space_report.json").read_text())["report"]
+    assert body["axioms"]["degenerate"] == 200
+    assert body["axioms"]["total_violations"] == 0
+    assert body["violations"] == [{"name": "no valid B4 triples", "degenerate_triples": 200}]
 
 
 def test_run_solve_and_csv(tmp_path):
@@ -125,6 +139,25 @@ def test_run_fixed_point(tmp_path):
     doc = json.loads((tmp_path / "fixed_point_report.json").read_text())
     assert doc["report"]["report"]["converged"]
     assert doc["report"]["report"]["K_observed"] <= 1 + 1e-6
+    assert "violations" not in doc["report"]
+
+
+def test_run_fixed_point_divergent_eps_star_exits_2(tmp_path):
+    # eps = |x|^-1 + 1e-30 |x| under one branch (scale 2, coef 1): the |x|
+    # term has rho = 2, so eps* diverges although the iteration converges
+    payload = {
+        "space": {"family": "CROSS_2NORM"},
+        "branches": [{"scale": 2.0, "coef": 1.0}],
+        "phi": {"terms": [{"coef": 1.0, "exponent": -1.0, "mode": "ABS",
+                           "direction": [1.0, 0.0, 0.0]}]},
+        "error_terms": [{"c": 1.0, "s": -1.0}, {"c": 1e-30, "s": 1.0}],
+        "samples": [0.5, 1.0, 2.0],
+    }
+    assert run(parse_config(make_config("FIXED_POINT", payload)), out_dir=str(tmp_path)) == 2
+    body = json.loads((tmp_path / "fixed_point_report.json").read_text())["report"]
+    assert body["report"]["converged"]
+    assert not body["report"]["eps_star_converged"]
+    assert body["violations"] == [{"name": "divergent eps_star", "rho": 2.0, "exponent": 1.0}]
 
 
 def test_run_fixed_point_with_csv_samples(tmp_path):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from qbanach.fixedpoint import (MAX_ORBIT_TERMS, Branch, IterationSpec, ScalarErrorFn,
-                                apply_Lambda, apply_T, check_uniqueness_condition,
-                                epsilon_star, geometric_bound, iterate, load_sample_grid)
+                                apply_T, check_uniqueness_condition, epsilon_star, iterate,
+                                load_sample_grid)
 from qbanach.hyperstab import radical_iteration_spec, sequences
 from qbanach.radical import EquationParams, Term, VectorFunction
 from qbanach.fixedpoint import _sup_step
@@ -49,19 +52,20 @@ def test_apply_T_rejects_zero():
         apply_T(spec, f0_sextic(), 0.0)
 
 
-def test_apply_Lambda_single_branch():
-    spec = IterationSpec([Branch(scale=2.0, coef=1.0, kappa_exp=1)], cross_2norm())
-    delta = ScalarErrorFn([(1.0, -3.0)])
-    value, image = apply_Lambda(spec, delta, 1.0)
-    assert value == pytest.approx(0.125)
-    assert image.terms == [(0.125, -3.0)]
+def numeric_Lambda(spec, delta, x):
+    """(Lambda delta)(x) = sum_i L_i delta(scale_i x), evaluated pointwise."""
+    return sum(Li * delta.eval(br.scale * x) for Li, br in zip(spec.weights, spec.branches))
 
 
-def test_apply_Lambda_zero():
-    spec = radical_spec()
-    value, image = apply_Lambda(spec, ScalarErrorFn([(0.0, -1.0)]), 2.0)
-    assert value == 0.0
-    assert image.eval(3.0) == 0.0
+def workdps(power):
+    """30 digits beyond those that ``power`` needs to tell rho^power from 1."""
+    return mp.workdps(30 + max(0, -math.floor(math.log10(power))))
+
+
+def geometric_oracle(eps_value, q, theta_exp):
+    """sum_n (q^n eps)^theta = eps^theta / (1 - q^theta), the one-term series."""
+    with workdps(theta_exp):
+        return mpf(eps_value) ** theta_exp / (1 - mpf(q) ** theta_exp)
 
 
 def test_lambda_closed_form_matches_direct_recursion():
@@ -75,11 +79,9 @@ def test_lambda_closed_form_matches_direct_recursion():
         spec = IterationSpec(branches, cross_2norm())
         delta = ScalarErrorFn([(float(rng.uniform(0, 2)), float(rng.uniform(-3, 2)))])
         x = float(rng.uniform(0.2, 3.0) * rng.choice([-1, 1]))
-        value, image = apply_Lambda(spec, delta, x)
-        L = spec.weights
-        direct = sum(Li * delta.eval(br.scale * x) for Li, br in zip(L, spec.branches))
+        direct = numeric_Lambda(spec, delta, x)
+        image = delta.lambda_image(spec)
         worst = max(worst, abs(image.eval(x) - direct) / max(abs(direct), 1e-30))
-        assert value == pytest.approx(direct, rel=1e-12, abs=1e-300)
     assert worst < 1e-12
 
 
@@ -122,6 +124,14 @@ def test_epsilon_star_q_zero():
     assert res.value == pytest.approx(1.5 ** 0.5, rel=1e-9)
 
 
+def test_epsilon_star_overflowing_term_is_inf():
+    # c |x|^s = 1e300 * 1e20 overflows: the series is finite but not a float
+    spec = IterationSpec([Branch(scale=0.5, coef=0.5)], cross_2norm())
+    for terms in ([(1e300, 2.0)], [(1e300, 2.0), (1.0, 0.0)]):
+        res = epsilon_star(spec, ScalarErrorFn(terms), 1e10, 0.5)
+        assert (res.converged, res.lower, res.value) == (True, math.inf, math.inf)
+
+
 def test_epsilon_star_divergence_reported():
     spec = IterationSpec([Branch(scale=1.0, coef=1.0, kappa_exp=1)], cross_2norm())
     res = epsilon_star(spec, ScalarErrorFn([(1.0, 0.0)]), 1.0, 1.0, n_max=64)
@@ -130,20 +140,88 @@ def test_epsilon_star_divergence_reported():
 
 
 def test_geometric_bound_values():
-    assert geometric_bound(1.0, 0.5, 1.0).bound == pytest.approx(2.0)
-    for th in (0.25, 0.5, 1.0):
-        assert geometric_bound(1.0, 0.0, th).bound == pytest.approx(1.0)
-    gb = geometric_bound(2.0, 0.5, 0.5)
-    assert gb.bound == pytest.approx(2 ** 0.5 / (1 - 0.5 ** 0.5), abs=1e-8)
-    assert gb.bound == pytest.approx(4.82842712, abs=1e-7)
-    # concavity: q^th + (1-q)^th >= 1, so the theta-powered series dominates
-    assert gb.bound >= gb.crude_bound
-    assert geometric_bound(1.0, 0.5, 1.0).bound == geometric_bound(1.0, 0.5, 1.0).crude_bound
+    # one term (c, 0) under one branch (scale 1, coef q): the bracket holds
+    # the closed form; its width is tol plus 8 ulps per term (2,622 terms at
+    # q = 0.9, theta = 0.1).  Unrounded, the upper end falls 4.8e-16 below
+    # at (0.2998, 0.4244, 0.944).  At q = 1e-10, theta = 0.01 the unpowered
+    # term q^n underflows to 0 at n = 33 while its power still counts.
+    for eps_value, q, th in [(1.0, 0.5, 1.0), (2.0, 0.5, 0.5), (1.5, 0.0, 0.25),
+                             (0.2423, 0.6441, 0.282), (0.2998, 0.4244, 0.944),
+                             (3.0, 0.9, 0.1), (1.0, 1e-10, 0.01), (2.0, 0.5, 1e-300)]:
+        spec = IterationSpec([Branch(scale=1.0, coef=q, kappa_exp=1)], cross_2norm())
+        res = epsilon_star(spec, ScalarErrorFn([(eps_value, 0.0)]), 1.0, th, n_max=4096)
+        exact = geometric_oracle(eps_value, q, th)
+        assert res.converged
+        assert res.lower <= exact <= res.value
+        assert res.value == pytest.approx(float(exact), rel=1e-11)
+    assert float(geometric_oracle(2.0, 0.5, 0.5)) == pytest.approx(4.82842712, abs=1e-7)
 
 
 def test_geometric_bound_rejects_q_one():
-    with pytest.raises(ValueError):
-        geometric_bound(1.0, 1.0, 1.0)
+    spec = IterationSpec([Branch(scale=1.0, coef=1.0, kappa_exp=1)], cross_2norm())
+    for th in (0.5, 1.0):
+        res = epsilon_star(spec, ScalarErrorFn([(1.0, 0.0)]), 1.0, th)
+        assert (res.converged, res.lower, res.value, res.terms_used) == (False, math.inf,
+                                                                         math.inf, 0)
+
+
+def test_epsilon_star_divergent_probe():
+    # eps = |x|^-1 + 1e-30 |x| under one branch (scale 2, coef 1): the |x|
+    # term has rho = 2, so the series diverges however small its coefficient
+    spec = IterationSpec([Branch(scale=2.0, coef=1.0)], cross_2norm())
+    eps = ScalarErrorFn([(1.0, -1.0), (1e-30, 1.0)])
+    for th in (0.5, 1.0):
+        res = epsilon_star(spec, eps, 1.0, th)
+        assert not res.converged
+        assert res.value == math.inf
+    chk = check_uniqueness_condition(spec, eps, 1.0, 0.5, M=1.0)
+    assert chk.divergent and not chk.satisfied
+
+
+def mp_series(spec, eps, x, power):
+    """sum_n ((Lambda^n eps)(x))^power by ``mp.nsum``, with the rates
+    rho_k = sum_i kappa^e_i |coef_i|^beta |scale_i|^s_k built from the exact
+    inputs."""
+    with workdps(power):
+        kappa, beta = mpf(spec.space.kappa), mpf(spec.space.beta)
+        weights = [kappa ** br.kappa_exp * abs(mpf(br.coef)) ** beta for br in spec.branches]
+        rhos = [sum(w * abs(mpf(br.scale)) ** mpf(s) for w, br in zip(weights, spec.branches))
+                for _, s in eps.terms]
+        amps = [mpf(c) * abs(mpf(x)) ** mpf(s) for c, s in eps.terms]
+        return mp.nsum(lambda n: sum(a * r ** n for a, r in zip(amps, rhos)) ** mpf(power),
+                       [0, mp.inf])
+
+
+_signed = st.tuples(st.floats(0.25, 4.0), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
+
+
+@st.composite
+def power_form_cases(draw):
+    """1-3 branches on CROSS_2NORM, eps with 1-3 power terms and the largest
+    rate rho_max in [1e-300, 0.9] (the coefficients are rescaled to it, and
+    every rate stays a normal float: the bracket takes the rates as
+    computed), theta in [1e-30, 1] (a smaller theta makes the reference work
+    at hundreds of digits; one-term cases down to 1e-300 are in the
+    geometric test)."""
+    branches = [(draw(_signed), draw(_signed) / 2) for _ in range(draw(st.integers(1, 3)))]
+    eps = ScalarErrorFn([(draw(st.floats(0.01, 10.0)), draw(st.floats(-3.0, 3.0)))
+                         for _ in range(draw(st.integers(1, 3)))])
+    rho_max = draw(st.floats(1e-300, 0.9))
+    rough = IterationSpec([Branch(scale=sc, coef=cf) for sc, cf in branches], cross_2norm())
+    shrink = rho_max / max(eps.rates(rough))
+    spec = IterationSpec([Branch(scale=sc, coef=cf * shrink) for sc, cf in branches],
+                         cross_2norm())
+    theta_exp = draw(st.floats(1e-30, 1.0))
+    return spec, eps, draw(_signed), theta_exp
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(power_form_cases())
+def test_epsilon_star_bracket_holds_mpmath_reference(case):
+    spec, eps, x, theta_exp = case
+    res = epsilon_star(spec, eps, x, theta_exp)
+    assert res.converged
+    assert res.lower <= mp_series(spec, eps, x, theta_exp) <= res.value
 
 
 def test_iterate_exact_fixed_point():

@@ -7,7 +7,7 @@ from qbanach.hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig,
                                HyperstabConstants, compute_Qm, constants,
                                expand_T_power, find_M0, run_experiment,
                                s_multiplier, scale_powers,
-                               sequences, sextic_defect, theorem_bound)
+                               sequences, theorem_bound)
 from qbanach.radical import EquationParams, Term, VectorFunction, make_solution
 from qbanach.spaces import cross_2norm
 
@@ -378,7 +378,7 @@ def test_quintic_root_machinery():
     assert 1.0 * u ** 5 + 1.0 * v ** 5 == pytest.approx(1.0, abs=1e-12)
     assert u ** 5 - v ** 5 == pytest.approx(w ** 5, rel=1e-14)
     for m in (2, 5, 20):
-        assert sextic_defect(eq, m) == 0.0
+        assert expand_T_power(eq, m, 1).sextic_identity_error() == 0.0
     f0 = make_solution(eq, 1.0, None, E1)
     f = VectorFunction(terms=list(f0.terms)
                        + [Term(coef=0.1, exponent=-3.0, mode="ABS", direction=E1)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbanach.spaces import (SpaceDescriptor, check_axioms, cross_2norm, estimate_kappa,
-                            eval_norm, is_dependent, lp_cross, power_space, scaled_space,
+                            eval_norm, lp_cross, power_space, scaled_space,
                             space_from_dict)
 
 
@@ -85,13 +85,6 @@ def test_space_json_round_trip():
     assert s.to_dict() == d
     s2 = power_space(cross_2norm(), 0.25)
     assert space_from_dict(s2.to_dict()) == s2
-
-
-def test_is_dependent_examples():
-    assert is_dependent([1, 0, 0], [2, 0, 0])
-    assert not is_dependent([1, 0, 0], [0, 1, 0])
-    assert is_dependent([1, 2, 3], [2, 4, 6.0000000001], tol=1e-6)
-    assert not is_dependent([1, 2, 3], [2, 4, 6.1], tol=1e-6)
 
 
 def test_check_axioms_clean_spaces():
