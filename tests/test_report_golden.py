@@ -56,7 +56,16 @@ def golden_configs():
         _fixed_point("fixed_point_powered", {"family": "POWERED", "beta": 0.5, "base": cross},
                      [-0.5, 1.25, 3.0]),
         ("hyperstab_lp_gmap_signed", _hyperstab_lp(reference)),
+        # 20,000 trials: the B4 and kappa stages cross more than one row block
+        _check_space("check_space_lp_underdeclared",
+                     {"family": "LP_CROSS", "p": 0.5, "kappa": 1.0}, 5),
+        _check_space("check_space_powered", {"family": "POWERED", "beta": 0.5, "base": cross}, 7),
     ]
+
+
+def _check_space(label, space, seed):
+    return label, {"command": "CHECK_SPACE", "seed": seed,
+                   "payload": {"space": space, "trials": 20_000}}
 
 
 def _hyperstab_lp(reference):
