@@ -612,6 +612,7 @@ def _tabular_sections(command: str, body: dict) -> dict:
 def run(config: RunConfig, out_dir: str | None = None) -> int:
     """Execute a validated config; write reports; return the exit code."""
     out_dir = out_dir or config.output or "."
+    name = config.command.lower().replace("_", "-")
     try:
         body, code = _RUNNERS[config.command](config.payload, config.seed)
     except (ConfigError, ValueError) as exc:
@@ -619,9 +620,12 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
         return 1
     except ArithmeticError as exc:
         # overflow / division by zero in the numeric path: no report is written
-        name = config.command.lower().replace("_", "-")
         print(f"error: {name}: numeric failure ({type(exc).__name__}): {exc}",
               file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # e.g. a trial count whose sample arrays cannot be allocated
+        print(f"error: {name}: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -16,6 +16,11 @@ near-dependent pairs, near-parallel and axis-frame triples) so that the
 degenerate branches of the axioms and the extremal quasi-triangle ratios are
 actually exercised.  All sampling is deterministic given the seed, and the
 first ``n`` samples of a run with more trials are a prefix of the longer run.
+
+Memory: ``check_axioms`` holds O(trials) rows for B1-B3 (the homogeneity
+factors are drawn after all the pairs), and O(block) rows for B4 and
+``kappa_observed``, as does ``estimate_kappa``: their triples are drawn and
+evaluated in row blocks, which give the rows of one whole-array draw.
 """
 
 from __future__ import annotations
@@ -237,42 +242,39 @@ def sample_triples(rng: np.random.Generator, n: int, box: float = 10.0):
     """Draw ``n`` triples (x, y, z) from the documented mixture.
 
     One fixed-width row of uniforms is consumed per trial, so runs with more
-    trials extend shorter runs sample-for-sample.
+    trials extend shorter runs sample-for-sample, and ``n`` rows drawn in
+    several calls are the rows of one call.
     """
-    U = rng.uniform(0.0, 1.0, (n, _DRAWS_PER_TRIPLE))
+    U = rng.random((n, _DRAWS_PER_TRIPLE))
     X = box * (2.0 * U[:, 0:3] - 1.0)
     Y = box * (2.0 * U[:, 3:6] - 1.0)
     Z = box * (2.0 * U[:, 6:9] - 1.0)
     mix = U[:, 9]
 
+    # each structured component is computed on its own rows only
     near_dep = (mix >= 0.70) & (mix < 0.80)
-    t = 4.0 * U[:, 10] - 2.0
-    noise = 2.0 * U[:, 11:14] - 1.0
-    Y[near_dep] = t[near_dep, None] * X[near_dep] + 1e-8 * noise[near_dep]
+    V = U[near_dep]
+    Y[near_dep] = (4.0 * V[:, 10] - 2.0)[:, None] * X[near_dep] + 1e-8 * (2.0 * V[:, 11:14] - 1.0)
 
     near_par = (mix >= 0.80) & (mix < 0.90)
-    s = 0.1 + 1.9 * U[:, 14]
-    noise2 = 2.0 * U[:, 15:18] - 1.0
-    Z[near_par] = s[near_par, None] * Y[near_par] + 1e-4 * noise2[near_par]
+    V = U[near_par]
+    Z[near_par] = (0.1 + 1.9 * V[:, 14])[:, None] * Y[near_par] + 1e-4 * (2.0 * V[:, 15:18] - 1.0)
 
     frame = mix >= 0.90
-    k = int(frame.sum())
-    if k:
-        perm = np.argsort(U[frame, 18:21], axis=1)
-        amp = (0.5 + 9.5 * U[frame, 21:24]) * np.sign(U[frame, 24:27] - 0.5)
-        fx = np.zeros((k, 3))
-        fy = np.zeros((k, 3))
-        fz = np.zeros((k, 3))
-        rows = np.arange(k)
-        fx[rows, perm[:, 0]] = amp[:, 0]
-        fy[rows, perm[:, 1]] = amp[:, 1]
-        fz[rows, perm[:, 2]] = amp[:, 2]
-        wob = 2.0 * U[frame, 27:30].reshape(k, 3) - 1.0
-        X[frame] = fx + 0.02 * np.abs(amp[:, 0:1]) * wob
-        wob2 = 2.0 * np.stack([U[frame, 30], U[frame, 31], U[frame, 10]], axis=1) - 1.0
-        Y[frame] = fy + 0.02 * np.abs(amp[:, 1:2]) * wob2
-        wob3 = 2.0 * np.stack([U[frame, 11], U[frame, 12], U[frame, 13]], axis=1) - 1.0
-        Z[frame] = fz + 0.02 * np.abs(amp[:, 2:3]) * wob3
+    V = U[frame]
+    k = len(V)
+    perm = np.argsort(V[:, 18:21], axis=1)
+    amp = (0.5 + 9.5 * V[:, 21:24]) * np.sign(V[:, 24:27] - 0.5)
+    fx = np.zeros((k, 3))
+    fy = np.zeros((k, 3))
+    fz = np.zeros((k, 3))
+    rows = np.arange(k)
+    fx[rows, perm[:, 0]] = amp[:, 0]
+    fy[rows, perm[:, 1]] = amp[:, 1]
+    fz[rows, perm[:, 2]] = amp[:, 2]
+    X[frame] = fx + 0.02 * np.abs(amp[:, 0:1]) * (2.0 * V[:, 27:30] - 1.0)
+    Y[frame] = fy + 0.02 * np.abs(amp[:, 1:2]) * (2.0 * V[:, [30, 31, 10]] - 1.0)
+    Z[frame] = fz + 0.02 * np.abs(amp[:, 2:3]) * (2.0 * V[:, 11:14] - 1.0)
     return X, Y, Z
 
 
@@ -280,14 +282,14 @@ def sample_pairs(rng: np.random.Generator, n: int, box: float = 10.0):
     """Pairs: 90% uniform, 10% near-dependent (y = t*x + 1e-8 noise).
 
     Returns (X, Y, near) where ``near`` marks the near-dependent mixture.
+    Like ``sample_triples``, one fixed-width row is consumed per pair.
     """
-    U = rng.uniform(0.0, 1.0, (n, 12))
+    U = rng.random((n, 12))
     X = box * (2.0 * U[:, 0:3] - 1.0)
     Y = box * (2.0 * U[:, 3:6] - 1.0)
     near = U[:, 6] >= 0.90
-    t = 4.0 * U[:, 7] - 2.0
-    noise = 2.0 * U[:, 8:11] - 1.0
-    Y[near] = t[near, None] * X[near] + 1e-8 * noise[near]
+    V = U[near]
+    Y[near] = (4.0 * V[:, 7] - 2.0)[:, None] * X[near] + 1e-8 * (2.0 * V[:, 8:11] - 1.0)
     return X, Y, near
 
 
@@ -298,7 +300,7 @@ def _dependent_pairs(rng: np.random.Generator, n: int, box: float = 10.0):
     product of such a pair vanishes identically and the degenerate branch of
     the norm is tested without rounding slack.
     """
-    U = rng.uniform(0.0, 1.0, (n, 5))
+    U = rng.random((n, 5))
     X = box * (2.0 * U[:, 0:3] - 1.0)
     expo = np.floor(7.0 * U[:, 3]) - 3.0  # -3 .. 3
     t = np.sign(U[:, 4] - 0.5) * (2.0 ** expo)
@@ -371,6 +373,19 @@ def _triangle_ratios(space: SpaceDescriptor, X, Y, Z):
     return ratio, valid
 
 
+# Rows per block of the B4 and kappa stages: their triples are drawn and
+# evaluated block by block, so those stages hold O(block) rows, not O(trials).
+_TRIPLE_BLOCK = 8192
+
+
+def _triangle_blocks(space: SpaceDescriptor, rng: np.random.Generator, trials: int):
+    """Yield ``(X, Y, Z, ratio, valid)`` for consecutive row blocks of
+    ``trials`` triples; the blocks are the rows of one ``sample_triples`` call."""
+    for start in range(0, trials, _TRIPLE_BLOCK):
+        X, Y, Z = sample_triples(rng, min(_TRIPLE_BLOCK, trials - start))
+        yield (X, Y, Z, *_triangle_ratios(space, X, Y, Z))
+
+
 def check_axioms(space: SpaceDescriptor, trials: int, seed: int) -> AxiomReport:
     """Sample random configurations and count violations of axioms B1-B4.
 
@@ -378,13 +393,22 @@ def check_axioms(space: SpaceDescriptor, trials: int, seed: int) -> AxiomReport:
     B2 as exact symmetry (absolute ``EXACT_TOL``), B3 as beta-homogeneity with
     slack ``REL_TOL * (1 + |x,y|)``, and B4 against the *declared* kappa with
     relative slack ``REL_TOL``.  Deterministic given the seed.
+
+    The stages draw from one generator in this order; each frees its rows
+    before the next starts.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     report = AxiomReport(trials=trials)
+    _check_b1(space, rng, trials, report)
+    _check_b2_b3(space, rng, trials, report)
+    _check_b4(space, rng, trials, report)
+    return report
 
-    # B1: exactly dependent pairs
+
+def _check_b1(space: SpaceDescriptor, rng, trials: int, report: AxiomReport):
+    """B1 on exactly dependent pairs."""
     Xd, Yd, t = _dependent_pairs(rng, trials)
     vals = eval_norm_rows(space, Xd, Yd)
     scale = (np.linalg.norm(Xd, axis=1) * np.linalg.norm(Yd, axis=1)) ** space.beta
@@ -393,7 +417,9 @@ def check_axioms(space: SpaceDescriptor, trials: int, seed: int) -> AxiomReport:
         "x": Xd[i].tolist(), "y": Yd[i].tolist(), "lambda": float(t[i]), "value": float(vals[i]),
     })
 
-    # B2 / B3 on the pair mixture
+
+def _check_b2_b3(space: SpaceDescriptor, rng, trials: int, report: AxiomReport):
+    """B2 and B3 on the pair mixture; ``lam`` is drawn after all the pairs."""
     X, Y, near = sample_pairs(rng, trials)
     lam = rng.uniform(-10.0, 10.0, trials)
     lam[np.abs(lam) < 1e-3] = 1.0
@@ -420,16 +446,23 @@ def check_axioms(space: SpaceDescriptor, trials: int, seed: int) -> AxiomReport:
         "error": float(d_hom[i]),
     })
 
-    # B4 on the triple mixture
-    Xt, Yt, Zt = sample_triples(rng, trials)
-    ratio, valid = _triangle_ratios(space, Xt, Yt, Zt)
-    report.degenerate += int((~valid).sum())
-    bad4 = valid & (ratio > space.kappa * (1.0 + REL_TOL))
-    _record_worst(report.b4, bad4, ratio, lambda i: {
-        "x": Xt[i].tolist(), "y": Yt[i].tolist(), "z": Zt[i].tolist(), "ratio": float(ratio[i]),
-    })
-    report.kappa_observed = float(ratio.max()) if valid.any() else 0.0
-    return report
+
+def _check_b4(space: SpaceDescriptor, rng, trials: int, report: AxiomReport):
+    """B4, ``kappa_observed`` and ``degenerate`` on the triple mixture, one
+    row block at a time."""
+    for Xt, Yt, Zt, ratio, valid in _triangle_blocks(space, rng, trials):
+        report.degenerate += int((~valid).sum())
+        block_max = float(ratio.max())
+        if block_max > report.kappa_observed:
+            report.kappa_observed = block_max
+        idx = np.nonzero(valid & (ratio > space.kappa * (1.0 + REL_TOL)))[0]
+        report.b4.count += int(idx.size)
+        if idx.size:
+            # the earliest row keeps a tie, across blocks as np.argmax does within one
+            i = int(idx[np.argmax(ratio[idx])])
+            if report.b4.worst is None or ratio[i] > report.b4.worst["ratio"]:
+                report.b4.worst = {"x": Xt[i].tolist(), "y": Yt[i].tolist(),
+                                   "z": Zt[i].tolist(), "ratio": float(ratio[i])}
 
 
 def estimate_kappa(space: SpaceDescriptor, trials: int, seed: int) -> float:
@@ -442,5 +475,10 @@ def estimate_kappa(space: SpaceDescriptor, trials: int, seed: int) -> float:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    ratio, valid = _triangle_ratios(space, *sample_triples(rng, trials))
-    return float(ratio[valid].max()) if valid.any() else 0.0
+    kappa = 0.0
+    for *_, ratio, _ in _triangle_blocks(space, rng, trials):
+        # degenerate rows hold ratio 0, so the block maximum is over valid rows
+        block_max = float(ratio.max())
+        if block_max > kappa:
+            kappa = block_max
+    return kappa

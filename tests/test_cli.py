@@ -99,6 +99,19 @@ def test_run_check_space_without_valid_b4_triples_exits_2(tmp_path):
     assert body["violations"] == [{"name": "no valid B4 triples", "degenerate_triples": 200}]
 
 
+def test_check_space_out_of_memory_exits_1_without_report(tmp_path, capsys):
+    # 10^15 trials need 36 PiB of samples, beyond the address space, so the
+    # first allocation fails at once
+    cfg = parse_config(make_config(
+        "CHECK_SPACE", {"space": {"family": "CROSS_2NORM"}, "trials": 10 ** 15}))
+    code = run(cfg, out_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: check-space: out of memory: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "check_space_report.json").exists()
+
+
 def test_run_solve_and_csv(tmp_path):
     cfg = parse_config(make_config(
         "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}},

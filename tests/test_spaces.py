@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qbanach import spaces
 from qbanach.spaces import (SpaceDescriptor, check_axioms, cross_2norm, estimate_kappa,
-                            eval_norm, lp_cross, power_space, scaled_space,
+                            eval_norm, eval_norm_rows, lp_cross, power_space, scaled_space,
                             space_from_dict)
 
 
@@ -224,3 +227,176 @@ def test_eval_norm_rows_rejects_non_3_vectors():
     from qbanach.spaces import eval_norm_rows
     with pytest.raises(ValueError):
         eval_norm_rows(cross_2norm(), np.ones((2, 4)), np.ones((2, 4)))
+
+
+# ---------------------------------------------------------------------------
+# block-wise triple stages against the whole-array oracle
+# ---------------------------------------------------------------------------
+
+B = spaces._TRIPLE_BLOCK
+
+# the four families, three of them under-declared so that B4 has witnesses
+ORACLE_SPACES = [
+    cross_2norm(),
+    power_space(lp_cross(0.4, kappa=1.0), 0.5),
+    lp_cross(0.5, kappa=1.0),
+    scaled_space(lp_cross(0.4, kappa=1.5), 3.0),
+]
+
+
+def _oracle_sample_triples(rng, n, box=10.0):
+    """The triple sampler as it was written before it drew in row blocks."""
+    U = rng.uniform(0.0, 1.0, (n, 32))
+    X = box * (2.0 * U[:, 0:3] - 1.0)
+    Y = box * (2.0 * U[:, 3:6] - 1.0)
+    Z = box * (2.0 * U[:, 6:9] - 1.0)
+    mix = U[:, 9]
+    near_dep = (mix >= 0.70) & (mix < 0.80)
+    t = 4.0 * U[:, 10] - 2.0
+    noise = 2.0 * U[:, 11:14] - 1.0
+    Y[near_dep] = t[near_dep, None] * X[near_dep] + 1e-8 * noise[near_dep]
+    near_par = (mix >= 0.80) & (mix < 0.90)
+    s = 0.1 + 1.9 * U[:, 14]
+    noise2 = 2.0 * U[:, 15:18] - 1.0
+    Z[near_par] = s[near_par, None] * Y[near_par] + 1e-4 * noise2[near_par]
+    frame = mix >= 0.90
+    k = int(frame.sum())
+    if k:
+        perm = np.argsort(U[frame, 18:21], axis=1)
+        amp = (0.5 + 9.5 * U[frame, 21:24]) * np.sign(U[frame, 24:27] - 0.5)
+        fx = np.zeros((k, 3))
+        fy = np.zeros((k, 3))
+        fz = np.zeros((k, 3))
+        rows = np.arange(k)
+        fx[rows, perm[:, 0]] = amp[:, 0]
+        fy[rows, perm[:, 1]] = amp[:, 1]
+        fz[rows, perm[:, 2]] = amp[:, 2]
+        wob = 2.0 * U[frame, 27:30].reshape(k, 3) - 1.0
+        X[frame] = fx + 0.02 * np.abs(amp[:, 0:1]) * wob
+        wob2 = 2.0 * np.stack([U[frame, 30], U[frame, 31], U[frame, 10]], axis=1) - 1.0
+        Y[frame] = fy + 0.02 * np.abs(amp[:, 1:2]) * wob2
+        wob3 = 2.0 * np.stack([U[frame, 11], U[frame, 12], U[frame, 13]], axis=1) - 1.0
+        Z[frame] = fz + 0.02 * np.abs(amp[:, 2:3]) * wob3
+    return X, Y, Z
+
+
+def _oracle_sample_pairs(rng, n, box=10.0):
+    U = rng.uniform(0.0, 1.0, (n, 12))
+    X = box * (2.0 * U[:, 0:3] - 1.0)
+    Y = box * (2.0 * U[:, 3:6] - 1.0)
+    near = U[:, 6] >= 0.90
+    t = 4.0 * U[:, 7] - 2.0
+    noise = 2.0 * U[:, 8:11] - 1.0
+    Y[near] = t[near, None] * X[near] + 1e-8 * noise[near]
+    return X, Y, near
+
+
+def _oracle_check_axioms(space, trials, seed):
+    """``check_axioms`` on whole arrays, as it was before the triple stage
+    went block by block."""
+    rng = np.random.default_rng(seed)
+    report = spaces.AxiomReport(trials=trials)
+
+    Xd, Yd, t = spaces._dependent_pairs(rng, trials)
+    vals = eval_norm_rows(space, Xd, Yd)
+    scale = (np.linalg.norm(Xd, axis=1) * np.linalg.norm(Yd, axis=1)) ** space.beta
+    bad = vals > spaces.REL_TOL * (1.0 + scale)
+    spaces._record_worst(report.b1, bad, vals, lambda i: {
+        "x": Xd[i].tolist(), "y": Yd[i].tolist(), "lambda": float(t[i]), "value": float(vals[i]),
+    })
+
+    X, Y, near = _oracle_sample_pairs(rng, trials)
+    lam = rng.uniform(-10.0, 10.0, trials)
+    lam[np.abs(lam) < 1e-3] = 1.0
+    v_xy = eval_norm_rows(space, X, Y)
+    v_yx = eval_norm_rows(space, Y, X)
+    d_sym = np.abs(v_xy - v_yx)
+    spaces._record_worst(report.b2, d_sym > spaces.EXACT_TOL, d_sym, lambda i: {
+        "x": X[i].tolist(), "y": Y[i].tolist(), "diff": float(d_sym[i]),
+    })
+    v_lam = eval_norm_rows(space, lam[:, None] * X, Y)
+    expected = np.abs(lam) ** space.beta * v_xy
+    d_hom = np.abs(v_lam - expected)
+    bad3 = ~near & (d_hom > spaces.REL_TOL * (1.0 + v_xy))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio3 = np.where(v_xy > 0, v_lam / v_xy, 0.0)
+    spaces._record_worst(report.b3, bad3, d_hom, lambda i: {
+        "x": X[i].tolist(), "y": Y[i].tolist(), "lambda": float(lam[i]),
+        "measured_ratio": float(ratio3[i]), "expected_ratio": float(np.abs(lam[i]) ** space.beta),
+        "error": float(d_hom[i]),
+    })
+
+    Xt, Yt, Zt = _oracle_sample_triples(rng, trials)
+    ratio, valid = spaces._triangle_ratios(space, Xt, Yt, Zt)
+    report.degenerate += int((~valid).sum())
+    bad4 = valid & (ratio > space.kappa * (1.0 + spaces.REL_TOL))
+    spaces._record_worst(report.b4, bad4, ratio, lambda i: {
+        "x": Xt[i].tolist(), "y": Yt[i].tolist(), "z": Zt[i].tolist(), "ratio": float(ratio[i]),
+    })
+    report.kappa_observed = float(ratio.max()) if valid.any() else 0.0
+    return report
+
+
+def _oracle_estimate_kappa(space, trials, seed):
+    rng = np.random.default_rng(seed)
+    ratio, valid = spaces._triangle_ratios(space, *_oracle_sample_triples(rng, trials))
+    return float(ratio[valid].max()) if valid.any() else 0.0
+
+
+def _assert_matches_oracle(space, trials, seed):
+    got = check_axioms(space, trials, seed).to_dict()
+    assert got == _oracle_check_axioms(space, trials, seed).to_dict()
+    kappa = estimate_kappa(space, trials, seed)
+    # repr tells -0.0 from 0.0; == on the dicts above compares floats exactly
+    assert repr(kappa) == repr(_oracle_estimate_kappa(space, trials, seed))
+    return got
+
+
+@pytest.mark.parametrize("trials", [1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda s: s.family)
+def test_block_stages_match_whole_array_oracle_at_block_edges(space, trials):
+    got = _assert_matches_oracle(space, trials, seed=trials)
+    if space.family != "CROSS_2NORM" and trials > B:
+        # an under-declared space: the fold over blocks carried a witness
+        assert got["violations"]["B4"]["worst"] is not None
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(space=st.sampled_from(ORACLE_SPACES), trials=st.integers(1, 3 * B),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_stages_match_whole_array_oracle(space, trials, seed):
+    _assert_matches_oracle(space, trials, seed)
+
+
+def test_b4_worst_keeps_the_earliest_row_of_a_cross_block_tie(monkeypatch):
+    # on LP_CROSS(1/2) declared kappa 1, (e1, e2, e3) has ratio 4/2 = 2, and
+    # swapping y and z gives the same ratio bit for bit: a tie across blocks
+    e1, e2, e3 = ([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]])
+    blocks = iter([(e1, e2, e3), (e1, e3, e2)])
+    monkeypatch.setattr(spaces, "_TRIPLE_BLOCK", 1)
+    monkeypatch.setattr(spaces, "sample_triples",
+                        lambda rng, n: tuple(np.array(v) for v in next(blocks)))
+    rep = check_axioms(lp_cross(0.5, kappa=1.0), 2, seed=0)
+    assert rep.b4.count == 2
+    assert rep.b4.worst == {"x": e1[0], "y": e2[0], "z": e3[0], "ratio": 2.0}
+    assert rep.kappa_observed == 2.0
+
+
+@pytest.mark.parametrize("sampler", [spaces.sample_triples, spaces.sample_pairs],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("a,b", [(0, 4), (1, 1), (7, 300), (1000, 33)])
+def test_sampler_calls_concatenate_to_one_call(sampler, a, b):
+    rng = np.random.default_rng(19)
+    first, second = sampler(rng, a), sampler(rng, b)
+    whole = sampler(np.random.default_rng(19), a + b)
+    for u, v, w in zip(first, second, whole):
+        assert np.array_equal(np.concatenate([u, v]).view(np.uint8), w.view(np.uint8))
+
+
+@pytest.mark.parametrize("sampler,oracle", [(spaces.sample_triples, _oracle_sample_triples),
+                                            (spaces.sample_pairs, _oracle_sample_pairs)],
+                         ids=["sample_triples", "sample_pairs"])
+@pytest.mark.parametrize("n", [0, 1, 9, 5000])
+def test_sampler_matches_its_whole_array_oracle_bit_for_bit(sampler, oracle, n):
+    for got, want in zip(sampler(np.random.default_rng(n), n), oracle(np.random.default_rng(n), n)):
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
