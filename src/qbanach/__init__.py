@@ -13,8 +13,8 @@ from .hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig, ExpansionT
                         find_M0, radical_iteration_spec, run_experiment,
                         s_multiplier, sequences, theorem_bound)
 from .radical import (EquationParams, InadmissiblePairError, NoExactSolutionError,
-                      Term, VectorFunction, check_structure, is_admissible,
-                      make_solution, real_root, residual)
+                      Term, VectorFunction, check_structure, make_solution,
+                      real_root, residual)
 from .spaces import (AxiomReport, SpaceDescriptor, check_axioms, cross_2norm,
                      estimate_kappa, eval_norm, lp_cross, power_space,
                      scaled_space, space_from_dict)

@@ -150,7 +150,7 @@ SCHEMAS = {
                 "required": ["c", "s"],
                 "defaults": {},
             }},
-            "samples": {"type": "array", "items": _NUM},
+            "samples": {"type": "array", "items": _NUM, "min_len": 1},
             "samples_csv": {"type": "string"},
             "witnesses": {"type": "array", "items": _VEC, "min_len": 1},
             "tol": {"type": "number", "exclusive_min": 0.0},
@@ -528,10 +528,15 @@ def _run_hyperstab(payload, seed):
     d["seed"] = seed
     cfg = hs.ExperimentConfig.from_dict(d)
     report = hs.run_experiment(cfg)
-    ok = report.feasible and all(
+    body = report.to_dict()
+    if report.feasible and not report.per_m:
+        # no requested m lies in M0: no Q_m was computed and no bound checked
+        body["violations"] = [{"name": "no index checked", "requested": cfg.m_values,
+                               "m0_members": report.m0.members}]
+    ok = report.feasible and "violations" not in body and all(
         rec["bound_satisfied"] and rec["qm"]["converged"] and "violations" not in rec
         for rec in report.per_m)
-    return report.to_dict(), 0 if ok else 2
+    return body, 0 if ok else 2
 
 
 _RUNNERS = {

@@ -431,8 +431,10 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
     the smallest constant K that satisfies them on the samples.  A callable
     phi (not a ``VectorFunction``) whose level ``n_max`` has more than
     ``MAX_ORBIT_TERMS`` terms is refused with ``ValueError`` before phi is
-    called.
+    called, and so is an empty sample set.
     """
+    if not len(sample_xs):
+        raise ValueError("no sample points: iterate needs at least one")
     if any(x == 0.0 for x in sample_xs):
         raise ValueError("sample points must avoid 0")
     witnesses = [_as_vector(w, spec.space.dim) for w in witnesses]
@@ -492,11 +494,17 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
 
 
 def load_sample_grid(path) -> list:
-    """Read a sample grid from CSV, one real per line."""
+    """Read a sample grid from CSV, one real per line; a non-numeric row
+    raises ``ValueError`` naming the file and the line."""
     out = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or not row[0].strip():
                 continue
-            out.append(float(row[0]))
+            try:
+                out.append(float(row[0]))
+            except ValueError:
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"not a number: {row[0]!r}") from None
     return out

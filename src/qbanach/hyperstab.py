@@ -17,18 +17,22 @@ C_m, P_m = max(A,B,C) and sigma_m.  Indices with P_m < 1 form the feasible
 set M0; for those the iteration T_m^n f converges to an exact solution Q_m
 and the quantitative deviation bound holds.
 
-T_m^n expands into the (n+1)(n+2)/2-term multinomial table because the three
-scalings commute (hard cap n <= 40).  ``fixedpoint`` is the one home of T^n:
-the table is its level builder on ``radical_iteration_spec``, ``apply`` is the
-evaluator of its callable-phi orbit, and Q_m comes from its term path, which
-iterates exactly through per-term multipliers.  This module supplies the spec
-and the radical-specific checks.
+T_m^k expands into the (k+1)(k+2)/2-term multinomial table because the three
+scalings commute (hard cap k <= 40).  ``fixedpoint`` is the one home of T^k:
+the table holds the ``coeffs`` and ``scales`` arrays of its level builder on
+``radical_iteration_spec``, ``apply`` is the evaluator of its callable-phi
+orbit, and Q_m comes from its term path, which iterates exactly through
+per-term multipliers.  This module supplies the spec and the
+radical-specific checks.
 The residual check of Q_m, the bound loop and the consistency scan run on
 row arrays; each power stays a scalar pow (numpy's array ``**`` rounds
 differently), so the row forms equal the one-point forms bit for bit.
-Identities that cancel catastrophically in floating point (the sextic
-eigen-identity) are evaluated in exact rational arithmetic: every float is an
-exact rational, so the check is free of rounding.
+The general solution theta x^(2n) + w is fixed by every T_m.  By the
+multinomial theorem the T_m^k table's sum of coeff * scale^(2n) is q^k, with
+q = c (u^n)^2 + d (v^n)^2 - (w^n)^2 the one-step sum, so this eigen-identity
+needs one step, not the table.  It cancels catastrophically in floating
+point, so q is evaluated in exact rational arithmetic from the exact n-th
+powers: every float is an exact rational, so the check is free of rounding.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .envelope import theta
 from .fixedpoint import (Branch, IterationSpec, _apply_terms, _converge, _multinomial_terms,
-                         _term_iterates, _term_multiplier)
+                         _term_iterates)
 from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction,
                       admissibility, make_solution, pair_shortfall, real_root,
                       residual_rows, sample_admissible_pairs)
@@ -168,10 +172,6 @@ class ErrorModel:
     def gamma(self, tx: float, ty: float, z) -> float:
         return float(self.gamma_rows([tx], [ty], [z])[0, 0])
 
-    def bracket(self, t: float, z) -> float:
-        """h1(t,z) h2(t,z) + h3(t,z) + h4(t,z) (both arguments at the same t)."""
-        return self.gamma(t, t, z)
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -294,78 +294,53 @@ def find_M0(eq: EquationParams, model: ErrorModel, kappa: float, beta: float,
 # multinomial expansion of T_m^n
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpansionEntry:
-    i: int
-    j: int
-    k: int
-    coeff: float
-    scale: float
-
-
 @dataclass
 class ExpansionTable:
-    """Closed form of T_m^n: entries (coeff, scale) over all i+j+k = n.
+    """Closed form of T_m^n: the rows (coeff, scale) over all i+j+k = n.
 
-    ``coeff = multinomial(n; i,j,k) c^i d^j (-1)^k`` and ``scale = u^i v^j
-    w^k``, as ``fixedpoint._multinomial_terms`` builds every level of T^n.
+    ``coeffs = multinomial(n; i,j,k) c^i d^j (-1)^k`` and ``scales = u^i v^j
+    w^k``, the arrays ``fixedpoint._multinomial_terms`` builds for every level
+    of T^n.
     """
 
     eq: EquationParams
     m: int
     n: int
-    entries: list
-
-    @property
-    def expected_count(self) -> int:
-        return (self.n + 1) * (self.n + 2) // 2
+    coeffs: np.ndarray
+    scales: np.ndarray
 
     def apply(self, f, x: float) -> np.ndarray:
         """Evaluate (T_m^n f)(x) = sum coeff * f(scale * x) for a callable f."""
-        return _apply_terms(np.array([e.coeff for e in self.entries]),
-                            np.array([e.scale for e in self.entries]), f, x)
-
-    def power_term_sum(self, exponent: float, signed: bool = False) -> float:
-        """Image multiplier of one signed-power term under T_m^n.
-
-        The one-step multiplier to the n-th power (multinomial theorem), taken
-        through the exact n-th power values (|u|^s = |u^n|^(s/n)).
-        """
-        spec = radical_iteration_spec(self.eq, self.m, None)
-        return _term_multiplier(spec, exponent, signed) ** self.n
+        return _apply_terms(self.coeffs, self.scales, f, x)
 
     def sextic_identity_error(self) -> float:
-        """|sum coeff * scale^(2n) - 1| in exact rational arithmetic.
+        """|sum coeff * scale^(2r) - 1| in exact rational arithmetic, r = root_n.
 
-        The float table sum cancels catastrophically for large m, n; every
-        float is an exact rational, so the identity is evaluated without
-        rounding (the power 2n needs only the exact n-th power values).
+        By the multinomial theorem the table sum is q^n, with q = c (u^r)^2 +
+        d (v^r)^2 - (w^r)^2 the one-step sum.  Every float is an exact
+        rational, so q comes from the exact r-th power values without
+        rounding; a defect beyond the float range reads inf.
         """
         from fractions import Fraction
         a, b = Fraction(self.eq.a), Fraction(self.eq.b)
         mn = Fraction(self.m) ** self.eq.root_n
         up, vp, wp = mn / a, (1 - mn) / b, 2 * mn - 1
-        # power tables built once: (c u^2n)^i, (d v^2n)^j, (-w^2n)^k for 0..n
-        U, V, W = ([q ** k for k in range(self.n + 1)] for q in (
-            Fraction(self.eq.c) * up * up, Fraction(self.eq.d) * vp * vp, -wp * wp))
-        total = Fraction(0)
-        for e in self.entries:
-            coeff = math.comb(self.n, e.i) * math.comb(self.n - e.i, e.j)
-            total += coeff * U[e.i] * V[e.j] * W[e.k]
-        return abs(float(total - 1))
+        q = Fraction(self.eq.c) * up * up + Fraction(self.eq.d) * vp * vp - wp * wp
+        try:
+            return abs(float(q ** self.n - 1))
+        except OverflowError:
+            return math.inf
 
 
 def expand_T_power(eq: EquationParams, m: int, n: int) -> ExpansionTable:
-    """Build the multinomial table for T_m^n; n = 0 yields the identity entry."""
+    """Build the multinomial table for T_m^n; n = 0 yields the identity row."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > MAX_EXPANSION_ORDER:
         raise ValueError(f"expansion order capped at {MAX_EXPANSION_ORDER} "
                          "(coefficient magnitudes overflow beyond that)")
-    E, coeffs, scales = _multinomial_terms(radical_iteration_spec(eq, m, None).branches, n)
-    entries = [ExpansionEntry(i=i, j=j, k=k, coeff=coeff, scale=scale)
-               for (i, j, k), coeff, scale in zip(E.tolist(), coeffs.tolist(), scales.tolist())]
-    return ExpansionTable(eq=eq, m=m, n=n, entries=entries)
+    _, coeffs, scales = _multinomial_terms(radical_iteration_spec(eq, m, None).branches, n)
+    return ExpansionTable(eq=eq, m=m, n=n, coeffs=coeffs, scales=scales)
 
 
 def radical_iteration_spec(eq: EquationParams, m: int, space: Optional[SpaceDescriptor]):

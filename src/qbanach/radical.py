@@ -31,7 +31,6 @@ __all__ = [
     "InadmissiblePairError",
     "real_root",
     "admissibility",
-    "is_admissible",
     "residual",
     "residual_rows",
     "make_solution",
@@ -212,10 +211,6 @@ def _in_band(lx, ly):
     ``+``, ``-`` and ``<`` round the same on both)."""
     band = EXCLUSION_BAND * np.maximum(abs(lx), abs(ly))
     return abs(lx - ly) < band, abs(lx + ly) < band
-
-
-def is_admissible(eq: EquationParams, x: float, y: float) -> bool:
-    return admissibility(eq, x, y)[0]
 
 
 def _radical_args(eq: EquationParams, x: float, y: float):

@@ -173,20 +173,44 @@ def test_run_fixed_point_divergent_eps_star_exits_2(tmp_path):
     assert body["violations"] == [{"name": "divergent eps_star", "rho": 2.0, "exponent": 1.0}]
 
 
+_ONE_BRANCH_FIXED_POINT = {
+    "space": {"family": "CROSS_2NORM"},
+    "branches": [{"scale": 2.0, "coef": 0.5}],
+    "phi": {"terms": [], "constant": [0.4, 0.0, 0.0]},
+    "error_terms": [{"c": 0.2, "s": 0.0}],
+}
+
+
 def test_run_fixed_point_with_csv_samples(tmp_path):
     csv_path = tmp_path / "samples.csv"
     csv_path.write_text("0.5\n1.0\n2.0\n")
-    payload = {
-        "space": {"family": "CROSS_2NORM"},
-        "branches": [{"scale": 2.0, "coef": 0.5}],
-        "phi": {"terms": [], "constant": [0.4, 0.0, 0.0]},
-        "error_terms": [{"c": 0.2, "s": 0.0}],
-        "samples_csv": str(csv_path),
-    }
-    cfg = parse_config(make_config("FIXED_POINT", payload))
+    cfg = parse_config(make_config("FIXED_POINT", dict(_ONE_BRANCH_FIXED_POINT,
+                                                       samples_csv=str(csv_path))))
     assert run(cfg, out_dir=str(tmp_path)) == 0
     doc = json.loads((tmp_path / "fixed_point_report.json").read_text())
     assert set(doc["report"]["report"]["psi_values"]) == {"0.5", "1.0", "2.0"}
+
+
+def test_fixed_point_with_no_samples_is_refused(tmp_path, capsys):
+    # an empty sample set was reported converged after 3 steps with K_observed 0
+    with pytest.raises(ConfigError, match=r"payload\.samples: at least 1 item"):
+        parse_config(make_config("FIXED_POINT", dict(_ONE_BRANCH_FIXED_POINT, samples=[])))
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_text("")
+    cfg = parse_config(make_config("FIXED_POINT", dict(_ONE_BRANCH_FIXED_POINT,
+                                                       samples_csv=str(csv_path))))
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: no sample points: iterate needs at least one\n"
+    assert not (tmp_path / "fixed_point_report.json").exists()
+
+
+def test_fixed_point_csv_names_the_file_and_line_of_a_bad_row(tmp_path, capsys):
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text("0.5\n\n1.0\nabc\n2.0\n")
+    cfg = parse_config(make_config("FIXED_POINT", dict(_ONE_BRANCH_FIXED_POINT,
+                                                       samples_csv=str(csv_path))))
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}, line 4: not a number: 'abc'\n"
 
 
 def test_run_envelope(tmp_path):
@@ -215,6 +239,19 @@ def test_run_hyperstab_and_determinism(tmp_path):
     b2 = json.dumps(d2, sort_keys=True)
     assert b1 == b2
     assert d1["report"]["feasible"]
+    assert "violations" not in d1["report"]
+
+
+@pytest.mark.parametrize("m_values", [[], [13]])
+def test_hyperstab_with_no_index_checked_exits_2_with_violation(m_values, tmp_path):
+    # an empty m_values, or only indices outside M0, computes no Q_m
+    payload = dict(REFERENCE_HYPERSTAB_PAYLOAD, m_values=m_values)
+    assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) == 2
+    report = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]
+    assert report["feasible"] and report["per_m"] == []
+    assert report["violations"] == [{"name": "no index checked", "requested": m_values,
+                                     "m0_members": report["m0"]["members"]}]
+    assert report["m0"]["members"]
 
 
 def test_hyperstab_csv_sections(tmp_path):

@@ -1,12 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qbanach.fixedpoint import _term_multiplier
 from qbanach.hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig,
                                HyperstabConstants, compute_Qm, constants,
-                               expand_T_power, find_M0, run_experiment,
-                               s_multiplier, scale_powers,
+                               expand_T_power, find_M0, radical_iteration_spec,
+                               run_experiment, s_multiplier, scale_powers,
                                sequences, theorem_bound)
 from qbanach.radical import EquationParams, Term, VectorFunction, make_solution
 from qbanach.spaces import cross_2norm
@@ -137,21 +141,22 @@ def test_find_M0_members_match_brute_filter():
 
 
 def test_expand_T_power_structure():
-    eq = EquationParams(1, 1, 2, 2)
+    eq = EquationParams(1, 1, 2, 3)
+    for n in (0, 1, 2, 7):
+        t = expand_T_power(eq, 2, n)
+        assert len(t.coeffs) == len(t.scales) == (n + 1) * (n + 2) // 2
     t0 = expand_T_power(eq, 2, 0)
-    assert len(t0.entries) == 1
-    assert t0.entries[0].coeff == 1.0 and t0.entries[0].scale == 1.0
+    assert t0.coeffs.tolist() == [1.0] and t0.scales.tolist() == [1.0]
 
     t1 = expand_T_power(eq, 2, 1)
     u, v, w = sequences(1.0, 1.0, 2)
-    got = sorted((e.coeff, e.scale) for e in t1.entries)
-    want = sorted([(2.0, u), (2.0, v), (-1.0, w)])
-    for (gc, gs), (wc, ws) in zip(got, want):
+    got = sorted(zip(t1.scales.tolist(), t1.coeffs.tolist()))
+    want = sorted([(u, 2.0), (v, 3.0), (w, -1.0)])
+    for (gs, gc), (ws, wc) in zip(got, want):
+        assert gs == ws
         assert gc == pytest.approx(wc, rel=1e-14)
-        assert gs == pytest.approx(ws, rel=1e-14)
 
-    t2 = expand_T_power(eq, 2, 2)
-    assert len(t2.entries) == 6 == t2.expected_count
+    t2 = expand_T_power(EquationParams(1, 1, 2, 2), 2, 2)
     assert t2.sextic_identity_error() <= 1e-12
 
     with pytest.raises(ValueError):
@@ -176,8 +181,8 @@ def test_table_apply_fixes_sextic():
     f0 = make_solution(eq, 1.0, None, E1)
     t1 = expand_T_power(eq, 2, 1)
     assert np.abs(t1.apply(f0, 1.3) - f0(1.3)).max() <= 1e-11 * (1 + 1.3 ** 6)
-    t2 = expand_T_power(eq, 2, 2)
-    assert t2.power_term_sum(6.0) == pytest.approx(1.0, abs=1e-9)
+    assert _term_multiplier(radical_iteration_spec(eq, 2, None), 6.0, False) ** 2 == \
+        pytest.approx(1.0, abs=1e-9)
     for n in (1, 2, 4):
         assert expand_T_power(eq, 2, n).sextic_identity_error() <= 1e-12
 
@@ -231,7 +236,7 @@ def test_inductive_error_bound_closed_form():
             (weights[2] * abs(up) ** ps[2], ps[2]),
             (weights[3] * abs(vp) ** ps[3], ps[3]),
         ]
-        bracket = model.bracket(x ** 3, z)
+        bracket = model.gamma(x ** 3, x ** 3, z)
         for n in range(9):
             lam_n = sum(cc * abs(x ** 3) ** s for cc, s in terms)
             assert lam_n <= cst.P ** n * cst.sigma * bracket * (1 + 1e-12)
@@ -494,14 +499,58 @@ def test_error_model_validation_and_flags():
     assert again.to_dict() == d
 
 
-def test_power_term_sum_sextic_multiplier_is_exactly_one():
+def test_sextic_term_multiplier_to_the_nth_is_exactly_one():
     # c u^6 + d v^6 - w^6 = 1 holds exactly in the cube values, so the sextic
     # eigen-multiplier of T_m^n is exactly 1 at every order
     for a, b in [(1.0, 1.0), (1.0, 3.0)]:
         eq = EquationParams(a, b, 2 * a * a, 2 * b * b)
         for m in (2, 3, 6, 12):
+            spec = radical_iteration_spec(eq, m, None)
             for n in (2, 4, 5, 8):
-                assert expand_T_power(eq, m, n).power_term_sum(6.0) == 1.0
+                assert _term_multiplier(spec, 6.0, False) ** n == 1.0
+
+
+def sextic_identity_oracle(eq: EquationParams, m: int, n: int) -> float:
+    """|sum coeff * scale^(2r) - 1| over the T_m^n table, r = root_n, summed
+    entry by entry in exact rationals (inf beyond the float range)."""
+    a, b = Fraction(eq.a), Fraction(eq.b)
+    mn = Fraction(m) ** eq.root_n
+    up, vp, wp = mn / a, (1 - mn) / b, 2 * mn - 1
+    # (c u^2r)^i, (d v^2r)^j, (-w^2r)^k for 0..n
+    U, V, W = ([q ** k for k in range(n + 1)] for q in (
+        Fraction(eq.c) * up * up, Fraction(eq.d) * vp * vp, -wp * wp))
+    total = Fraction(0)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            total += math.comb(n, i) * math.comb(n - i, j) * U[i] * V[j] * W[n - i - j]
+    try:
+        return abs(float(total - 1))
+    except OverflowError:
+        return math.inf
+
+
+_NONZERO = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                     st.floats(-6.0, 6.0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(a=_NONZERO, b=_NONZERO, c=_NONZERO, d=_NONZERO, solvable=st.booleans(),
+       root_n=st.sampled_from([3, 5]), m=st.integers(2, 60), n=st.integers(0, 12))
+@example(a=1e-6, b=1.0, c=1e6, d=1.0, solvable=False, root_n=5, m=60, n=12)  # inf
+def test_sextic_identity_from_one_step_equals_the_table_sum(a, b, c, d, solvable, root_n, m, n):
+    # the multinomial theorem: the table sum is q^n for the one-step sum q;
+    # c = 2a^2, d = 2b^2 make q = 1 up to the rounding of those two floats
+    if solvable:
+        c, d = 2 * a * a, 2 * b * b
+    eq = EquationParams(a, b, c, d, root_n=root_n)
+    assert expand_T_power(eq, m, n).sextic_identity_error() == sextic_identity_oracle(eq, m, n)
+
+
+def test_sextic_identity_error_beyond_the_float_range_is_inf():
+    eq = EquationParams(0.7, 1.1, 1.5, 2.0)
+    assert math.isfinite(expand_T_power(eq, 50, 30).sextic_identity_error())
+    for n in (31, 40):
+        assert expand_T_power(eq, 50, n).sextic_identity_error() == math.inf
 
 
 def test_table_apply_equals_callable_orbit_level_bit_for_bit():

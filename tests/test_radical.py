@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qbanach.radical import (DRAWS_PER_PAIR, EquationParams, InadmissiblePairError,
-                             NoExactSolutionError, Term, VectorFunction, check_structure,
-                             is_admissible, make_solution, pair_shortfall, real_root,
+                             NoExactSolutionError, Term, VectorFunction, admissibility,
+                             check_structure, make_solution, pair_shortfall, real_root,
                              residual, sample_admissible_pairs)
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -44,7 +44,7 @@ def test_residual_zero_for_exact_solution():
     checked = 0
     while checked < 10_000:
         x, y = rng.uniform(0.3, 3.0, 2) * rng.choice([-1.0, 1.0], 2)
-        if not is_admissible(eq, x, y):
+        if not admissibility(eq, x, y)[0]:
             continue
         checked += 1
         scale = max(abs(x), abs(y),
@@ -86,7 +86,7 @@ def test_make_solution_accepts_matching_params():
     rng = np.random.default_rng(5)
     for _ in range(200):
         x, y = rng.uniform(0.3, 2.0, 2)
-        if not is_admissible(eq, x, y):
+        if not admissibility(eq, x, y)[0]:
             continue
         scale = max(abs(x), abs(y), abs(eq.a * x ** 3 + eq.b * y ** 3) ** 0.5,
                     abs(eq.a * x ** 3 - eq.b * y ** 3) ** 0.5) ** 6
@@ -180,7 +180,7 @@ def test_quintic_root_generalization():
     checked = 0
     while checked < 500:
         x, y = rng.uniform(0.3, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
-        if not is_admissible(eq, x, y):
+        if not admissibility(eq, x, y)[0]:
             continue
         checked += 1
         scale = max(abs(x), abs(y), abs(x ** 5 + y ** 5) ** 0.2,

@@ -137,7 +137,7 @@ def test_error_model_rows_equal_per_pair_oracles(aux, g_matrix):
     assert math.isnan(gam[0, 0])
     assert hexes(gam) == hexes([[model.gamma(tx, ty, z) for z in WITNESSES]
                                 for tx, ty in zip(txs, tys)])
-    assert hexes([[model.bracket(t, z) for z in WITNESSES] for t in txs]) == hexes(
+    assert hexes([[model.gamma(t, t, z) for z in WITNESSES] for t in txs]) == hexes(
         model.gamma_rows(txs, txs, WITNESSES))
 
 
