@@ -9,8 +9,8 @@ written atomically (temp file + rename); the JSON body is canonical (sorted
 keys) so identical config + seed gives byte-identical output apart from the
 ``metadata`` block, which carries the timestamp.
 
-Exit codes: 0 all checks passed, 2 completed with violations, 1 operational
-error (a numeric failure such as an overflow included).
+Exit codes: 0 all checks passed, 2 the report's ``violations`` list is nonempty,
+1 operational error (a numeric failure such as an overflow included).
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from .envelope import check_p_triangle, envelope_norm_rows
 from .fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate, load_sample_grid
 # admissibility is not called here but stays bound: bench/tracer.py wraps it
 # in every namespace, cli's included, and its test checks that binding
-from .radical import (EquationParams, NoExactSolutionError, VectorFunction,  # noqa: F401
-                      admissibility, check_structure, make_solution, pair_shortfall,
+from .radical import (DRAWS_PER_PAIR, EquationParams, NoExactSolutionError,  # noqa: F401
+                      VectorFunction, admissibility, check_structure, make_solution,
                       residual_rows, sample_admissible_pairs)
 from .spaces import check_axioms, estimate_kappa, eval_norm_rows, space_from_dict
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config",
-           "run", "emit_csv", "main", "COMMANDS", "json_schema", "SCHEMAS"]
+           "run", "emit_csv", "main", "COMMANDS", "VIOLATIONS", "json_schema", "SCHEMAS"]
 
 COMMANDS = ("CHECK_SPACE", "ENVELOPE", "FIXED_POINT", "SOLVE", "HYPERSTAB")
 _CLI_NAMES = {
@@ -431,17 +431,43 @@ def serialize_config(config: RunConfig) -> str:
 # command execution
 # ---------------------------------------------------------------------------
 
+VIOLATIONS = (  # every cause of exit 2; each runner returns (body, list of _violation records)
+    "axiom violated", "no valid B4 triples",                                 # check-space
+    "certificate failure", "p-triangle violated",                            # envelope
+    "not converged", "divergent eps_star", "no error budget",                # fixed-point
+    "no exact solution", "structure law over tol", "residual over tol",      # solve
+    "no admissible pairs", "too few admissible pairs",                       # solve, hyperstab
+    "empty M0", "no index checked", "bound not satisfied", "Q_m not converged")  # hyperstab
+
+
+def _violation(name: str, where=None, **detail) -> dict:
+    """One record of ``run``'s violations; ``where`` None covers the whole run."""
+    if name not in VIOLATIONS:
+        raise ValueError(f"unregistered violation name {name!r}")
+    return {"name": name, "where": where, **detail}
+
+
+def _pair_shortfall(requested: int, admissible: int, where=None) -> list:
+    """``[]``, or the record of a residual check that drew too few admissible pairs."""
+    if admissible >= requested:
+        return []
+    return [_violation("no admissible pairs" if admissible == 0 else "too few admissible pairs",
+                       where, requested_pairs=requested, admissible_pairs=admissible,
+                       rejected_pairs=DRAWS_PER_PAIR * requested - admissible)]
+
+
 def _run_check_space(payload, seed):
     space = space_from_dict(payload["space"])
     report = check_axioms(space, payload["trials"], seed)
     kest = estimate_kappa(space, payload["trials"], seed)
     body = {"axioms": report.to_dict(), "kappa_estimate": kest,
             "space": space.to_dict(), "trials": payload["trials"]}
+    violations = [_violation("axiom violated", b, count=v["count"])
+                  for b, v in body["axioms"]["violations"].items() if v["count"]]
     if report.degenerate == report.trials:
         # B4 compared no triple: kappa_observed 0.0 and no B4 count mean nothing
-        body["violations"] = [{"name": "no valid B4 triples",
-                               "degenerate_triples": report.degenerate}]
-    return body, 0 if report.total_violations == 0 and "violations" not in body else 2
+        violations.append(_violation("no valid B4 triples", degenerate_triples=report.degenerate))
+    return body, violations
 
 
 def _run_envelope(payload, seed):
@@ -465,7 +491,13 @@ def _run_envelope(payload, seed):
     body = {"space": space.to_dict(), "certificate_samples": n_samples,
             "certificate_failures": cert_failures, "worst_sum_gap": worst_gap,
             "p_triangle": tri.to_dict()}
-    return body, 0 if cert_failures == 0 and tri.violations == 0 else 2
+    violations = []
+    if cert_failures:
+        violations.append(_violation("certificate failure", count=cert_failures,
+                                     worst_sum_gap=worst_gap))
+    if tri.violations:
+        violations.append(_violation("p-triangle violated", count=tri.violations))
+    return body, violations
 
 
 def _run_fixed_point(payload, seed):
@@ -483,14 +515,21 @@ def _run_fixed_point(payload, seed):
         raise ConfigError("payload.samples: either samples or samples_csv is required")
     report = iterate(spec, phi, eps, samples, payload["witnesses"],
                      tol=payload["tol"], n_max=payload["n_max"])
-    body = {"spec": spec.to_dict(), "report": report.to_dict()}
+    violations = [] if report.converged else [
+        _violation("not converged", iterations=report.iterations)]
     if not report.eps_star_converged:
         rho, s = max((rho, s) for (c, s), rho in zip(eps.terms, eps.rates(spec)) if c > 0)
-        body["violations"] = [{"name": "divergent eps_star", "rho": rho, "exponent": s}]
-    return body, 0 if report.converged and report.eps_star_converged else 2
+        violations.append(_violation("divergent eps_star", rho=rho, exponent=s))
+    # a deviation where eps* is 0 has no error budget: its bound reads inf
+    unbudgeted = [{"x": e["x"], "witness": e["witness"]} for e in report.bound_entries
+                  if e["eps_star"] == 0.0 and e["bound"] == math.inf]
+    if unbudgeted:
+        violations.append(_violation("no error budget", entries=unbudgeted))
+    return {"spec": spec.to_dict(), "report": report.to_dict()}, violations
 
 
 _GRID_ROWS = 1000  # sampled pairs listed in the solve report
+_RESIDUAL_TOL = 1e-9  # largest residual over max(|x|, |y|)^(2 root_n) that passes
 
 
 def _run_solve(payload, seed):
@@ -498,9 +537,10 @@ def _run_solve(payload, seed):
     try:
         f = make_solution(eq, payload["theta_coef"], payload.get("w"), payload["direction"])
     except NoExactSolutionError as exc:
-        return {"equation": eq.to_dict(), "error": str(exc),
-                "failed_constraints": exc.failed}, 2
-    structure = check_structure(eq, f, payload["grid"], payload["tol"])
+        return ({"equation": eq.to_dict()},
+                [_violation("no exact solution", failed_constraints=exc.failed)])
+    tol = payload["tol"]
+    structure = check_structure(eq, f, payload["grid"], tol)
     wanted = payload["residual_pairs"]
     lo, hi = min(map(abs, payload["grid"])), max(map(abs, payload["grid"]))
     draws = list(sample_admissible_pairs(eq, lo, hi, wanted, np.random.default_rng(seed)))
@@ -511,15 +551,17 @@ def _run_solve(payload, seed):
     grid_rows, adm = [], iter(res)
     for x, y, ok in draws[:_GRID_ROWS]:
         # one np.linalg.norm per row: a batched norm rounds differently
-        grid_rows.append({"x": x, "y": y, "gamma": None, "admissible": ok,
+        grid_rows.append({"x": x, "y": y, "admissible": ok,
                           "residual_norm": float(np.linalg.norm(next(adm))) if ok else None})
     body = {"equation": eq.to_dict(), "solution": f.to_dict(),
             "structure": structure.to_dict(), "sup_residual_scaled": sup_res,
             "residual_pairs": len(pairs), "residual_grid": grid_rows}
-    shortfall = pair_shortfall(wanted, len(pairs))
-    body.update(shortfall)
-    ok = structure.passed(payload["tol"]) and sup_res <= 1e-9 and not shortfall
-    return body, 0 if ok else 2
+    violations = [_violation("structure law over tol", law, deviation=dev, tol=tol)
+                  for law, dev in sorted(structure.deviations.items()) if dev > tol]
+    if sup_res > _RESIDUAL_TOL:
+        violations.append(_violation("residual over tol", sup_residual_scaled=sup_res,
+                                     tol=_RESIDUAL_TOL))
+    return body, violations + _pair_shortfall(wanted, len(pairs))
 
 
 def _run_hyperstab(payload, seed):
@@ -528,15 +570,21 @@ def _run_hyperstab(payload, seed):
     d["seed"] = seed
     cfg = hs.ExperimentConfig.from_dict(d)
     report = hs.run_experiment(cfg)
-    body = report.to_dict()
-    if report.feasible and not report.per_m:
-        # no requested m lies in M0: no Q_m was computed and no bound checked
-        body["violations"] = [{"name": "no index checked", "requested": cfg.m_values,
-                               "m0_members": report.m0.members}]
-    ok = report.feasible and "violations" not in body and all(
-        rec["bound_satisfied"] and rec["qm"]["converged"] and "violations" not in rec
-        for rec in report.per_m)
-    return body, 0 if ok else 2
+    if not report.feasible:
+        return report.to_dict(), [_violation("empty M0", m_max=cfg.m_max)]
+    # no requested m lies in M0: no Q_m was computed and no bound checked
+    violations = [] if report.per_m else [_violation(
+        "no index checked", requested=cfg.m_values, m0_members=report.m0.members)]
+    for rec in report.per_m:
+        where, qm = f"m={rec['m']}", rec["qm"]
+        if not qm["converged"]:
+            violations.append(_violation("Q_m not converged", where, iterations=qm["iterations"]))
+        if not rec["bound_satisfied"]:
+            violations.append(_violation(
+                "bound not satisfied", where, K_observed=rec["K_observed"],
+                unsatisfied_entries=sum(not e["satisfied"] for e in rec["bound_entries"])))
+        violations += _pair_shortfall(cfg.residual_pairs, qm["residual_pairs"], where)
+    return report.to_dict(), violations
 
 
 _RUNNERS = {
@@ -605,11 +653,10 @@ def _tabular_sections(command: str, body: dict) -> dict:
         header = ["law", "max_deviation"]
         rows = sorted(body["structure"]["deviations"].items())
         sections["structure_laws"] = (header, rows)
-        header = ["x", "y", "residual_norm", "gamma", "admissible"]
+        header = ["x", "y", "residual_norm", "admissible"]
         rows = [[r["x"], r["y"],
-                 "" if r["residual_norm"] is None else r["residual_norm"],
-                 "" if r["gamma"] is None else r["gamma"], r["admissible"]]
-                for r in body.get("residual_grid", [])]
+                 "" if r["residual_norm"] is None else r["residual_norm"], r["admissible"]]
+                for r in body["residual_grid"]]
         sections["residual_grid"] = (header, rows)
     return sections
 
@@ -619,7 +666,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
     out_dir = out_dir or config.output or "."
     name = config.command.lower().replace("_", "-")
     try:
-        body, code = _RUNNERS[config.command](config.payload, config.seed)
+        body, violations = _RUNNERS[config.command](config.payload, config.seed)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -639,6 +686,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
         "command": config.command,
         "seed": config.seed,
         "warnings": config.warnings,
+        "violations": violations,
         "report": body,
         "metadata": {
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -653,7 +701,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    return code
+    return 2 if violations else 0
 
 
 def main(argv=None) -> int:

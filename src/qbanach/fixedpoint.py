@@ -370,7 +370,8 @@ def _multinomial_terms(branches: Sequence[Branch], n: int):
     built from ``lgamma`` with the sign kept apart, so large orders do not
     overflow before the coefficient powers shrink them; a zero coefficient
     gives exact zeros on its branch.  ``exp`` is the scalar ``math.exp``
-    (numpy's vector exp may round differently).
+    (numpy's vector exp may round differently); a coefficient beyond the
+    float range raises ``ValueError`` naming n.
     """
     j = len(branches)
     count = math.comb(n + j - 1, j - 1)
@@ -392,7 +393,10 @@ def _multinomial_terms(branches: Sequence[Branch], n: int):
             logmag += col * math.log(abs(br.coef))
     odd = E @ np.array([br.coef < 0.0 for br in branches], dtype=np.int64)
     signs = (1 - 2 * (odd % 2)).tolist()
-    coeffs = np.array([sg * math.exp(v) for sg, v in zip(signs, logmag.tolist())])
+    try:
+        coeffs = np.array([sg * math.exp(v) for sg, v in zip(signs, logmag.tolist())])
+    except OverflowError:
+        raise ValueError(f"T^n at order n = {n}: a coefficient is beyond the float range") from None
     scales = np.prod(np.array([br.scale for br in branches]) ** E, axis=1)
     return E, coeffs, scales
 
@@ -479,7 +483,12 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
                 "eps_star": star_xy,
             })
     for entry in bound_entries:
-        entry["bound"] = K_observed * entry["eps_star"]
+        # where eps* or K is 0 the product says nothing (0 * inf is NaN): the
+        # bound is inf over a deviation, 0 without one
+        if K_observed and entry["eps_star"]:
+            entry["bound"] = K_observed * entry["eps_star"]
+        else:
+            entry["bound"] = math.inf if entry["deviation_pow_theta"] > 1e-12 else 0.0
 
     return FixedPointReport(
         converged=converged,

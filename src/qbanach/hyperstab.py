@@ -47,7 +47,7 @@ from .envelope import theta
 from .fixedpoint import (Branch, IterationSpec, _apply_terms, _converge, _multinomial_terms,
                          _term_iterates)
 from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction,
-                      admissibility, make_solution, pair_shortfall, real_root,
+                      admissibility, make_solution, real_root,
                       residual_rows, sample_admissible_pairs)
 from .spaces import SpaceDescriptor, _as_vector, _norm_table, space_from_dict
 
@@ -641,7 +641,6 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
             "K_observed": K_obs,
             "bound_entries": entries,
             "bound_satisfied": all(e["satisfied"] for e in entries),
-            **pair_shortfall(config.residual_pairs, qm.residual_pairs),
         }
 
     per_m = [process(m) for m in selected]

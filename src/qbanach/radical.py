@@ -37,7 +37,6 @@ __all__ = [
     "check_structure",
     "StructureReport",
     "sample_admissible_pairs",
-    "pair_shortfall",
 ]
 
 EXCLUSION_BAND = 1e-6  # relative half-width of the excluded diagonal
@@ -296,9 +295,6 @@ class StructureReport:
     def max_deviation(self) -> float:
         return max(self.deviations.values()) if self.deviations else 0.0
 
-    def passed(self, tol: float) -> bool:
-        return self.max_deviation() <= tol
-
     def to_dict(self) -> dict:
         return {"deviations": self.deviations, "grid_size": self.grid_size}
 
@@ -372,16 +368,3 @@ def sample_admissible_pairs(eq: EquationParams, lo: float, hi: float, n: int,
             found += ok
             if found == n:
                 return
-
-
-def pair_shortfall(requested: int, admissible: int) -> dict:
-    """``{"violations": [...]}`` for a residual check whose sampler stopped
-    before ``requested`` admissible pairs, after all its ``DRAWS_PER_PAIR *
-    requested`` draws (a residual over too few pairs proves nothing); ``{}``
-    otherwise, so the key appears in a report only on a shortfall."""
-    if admissible >= requested:
-        return {}
-    return {"violations": [{
-        "name": "no admissible pairs" if admissible == 0 else "too few admissible pairs",
-        "requested_pairs": requested, "admissible_pairs": admissible,
-        "rejected_pairs": DRAWS_PER_PAIR * requested - admissible}]}

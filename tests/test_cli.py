@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from qbanach.cli import (COMMANDS, ConfigError, RunConfig, emit_csv, json_schema,
-                         main, parse_config, run, serialize_config)
+from qbanach.cli import (COMMANDS, VIOLATIONS, ConfigError, RunConfig, _pair_shortfall,
+                         emit_csv, json_schema, main, parse_config, run, serialize_config)
 from qbanach.radical import EquationParams, sample_admissible_pairs
 
 # the reference experiment shipped with the package
@@ -72,7 +72,7 @@ def test_run_check_space_clean(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "check_space_report.json").read_text())
     assert doc["report"]["axioms"]["total_violations"] == 0
-    assert "violations" not in doc["report"]
+    assert doc["violations"] == []
     assert "timestamp" in doc["metadata"]
 
 
@@ -83,7 +83,9 @@ def test_run_check_space_underdeclared_kappa_exits_2(tmp_path):
     code = run(cfg, out_dir=str(tmp_path))
     assert code == 2
     doc = json.loads((tmp_path / "check_space_report.json").read_text())
-    assert doc["report"]["axioms"]["violations"]["B4"]["count"] > 0
+    b4 = doc["report"]["axioms"]["violations"]["B4"]["count"]
+    assert b4 > 0
+    assert doc["violations"] == [{"name": "axiom violated", "where": "B4", "count": b4}]
 
 
 def test_run_check_space_without_valid_b4_triples_exits_2(tmp_path):
@@ -93,10 +95,11 @@ def test_run_check_space_without_valid_b4_triples_exits_2(tmp_path):
         "space": {"family": "SCALED", "factor": 1e-14, "base": {"family": "CROSS_2NORM"}},
         "trials": 200}))
     assert run(cfg, out_dir=str(tmp_path)) == 2
-    body = json.loads((tmp_path / "check_space_report.json").read_text())["report"]
-    assert body["axioms"]["degenerate"] == 200
-    assert body["axioms"]["total_violations"] == 0
-    assert body["violations"] == [{"name": "no valid B4 triples", "degenerate_triples": 200}]
+    doc = json.loads((tmp_path / "check_space_report.json").read_text())
+    assert doc["report"]["axioms"]["degenerate"] == 200
+    assert doc["report"]["axioms"]["total_violations"] == 0
+    assert doc["violations"] == [{"name": "no valid B4 triples", "where": None,
+                                  "degenerate_triples": 200}]
 
 
 def test_check_space_out_of_memory_exits_1_without_report(tmp_path, capsys):
@@ -123,7 +126,7 @@ def test_run_solve_and_csv(tmp_path):
     assert laws[0] == "law,max_deviation"
     assert len(laws) > 1
     grid = (tmp_path / "residual_grid.csv").read_text().splitlines()
-    assert grid[0] == "x,y,residual_norm,gamma,admissible"
+    assert grid[0] == "x,y,residual_norm,admissible"
     assert len(grid) > 100
 
 
@@ -133,7 +136,9 @@ def test_run_solve_reports_failed_constraints(tmp_path):
     code = run(cfg, out_dir=str(tmp_path))
     assert code == 2
     doc = json.loads((tmp_path / "solve_report.json").read_text())
-    assert "a^2 = c/2" in doc["report"]["failed_constraints"]
+    assert doc["violations"] == [{"name": "no exact solution", "where": None,
+                                  "failed_constraints": ["a^2 = c/2"]}]
+    assert doc["report"] == {"equation": cfg.payload["equation"]}
 
 
 def test_run_fixed_point(tmp_path):
@@ -152,7 +157,7 @@ def test_run_fixed_point(tmp_path):
     doc = json.loads((tmp_path / "fixed_point_report.json").read_text())
     assert doc["report"]["report"]["converged"]
     assert doc["report"]["report"]["K_observed"] <= 1 + 1e-6
-    assert "violations" not in doc["report"]
+    assert doc["violations"] == []
 
 
 def test_run_fixed_point_divergent_eps_star_exits_2(tmp_path):
@@ -167,10 +172,34 @@ def test_run_fixed_point_divergent_eps_star_exits_2(tmp_path):
         "samples": [0.5, 1.0, 2.0],
     }
     assert run(parse_config(make_config("FIXED_POINT", payload)), out_dir=str(tmp_path)) == 2
-    body = json.loads((tmp_path / "fixed_point_report.json").read_text())["report"]
-    assert body["report"]["converged"]
-    assert not body["report"]["eps_star_converged"]
-    assert body["violations"] == [{"name": "divergent eps_star", "rho": 2.0, "exponent": 1.0}]
+    doc = json.loads((tmp_path / "fixed_point_report.json").read_text())
+    assert doc["report"]["report"]["converged"]
+    assert not doc["report"]["report"]["eps_star_converged"]
+    assert doc["violations"] == [{"name": "divergent eps_star", "where": None,
+                                  "rho": 2.0, "exponent": 1.0}]
+
+
+@pytest.mark.parametrize("error_terms", [[], [{"c": 0.0, "s": 1.0}]])
+def test_fixed_point_without_error_budget_exits_2_without_nan(error_terms, tmp_path):
+    # eps = 0 makes K_observed inf: each entry's bound must read inf, not
+    # inf * 0 = NaN (not a JSON token), and the run must name the missing budget
+    payload = {
+        "space": {"family": "CROSS_2NORM"},
+        "branches": [{"scale": 2.0, "coef": 0.5}],
+        "phi": {"terms": [{"coef": 1.0, "exponent": -1.0, "mode": "ABS",
+                           "direction": [1.0, 0.0, 0.0]}]},
+        "error_terms": error_terms,
+        "samples": [0.5, 1.0],
+    }
+    assert run(parse_config(make_config("FIXED_POINT", payload)), out_dir=str(tmp_path)) == 2
+    text = (tmp_path / "fixed_point_report.json").read_text()
+    assert "NaN" not in text
+    doc = json.loads(text)
+    entries = doc["report"]["report"]["bound_entries"]
+    assert all(e["eps_star"] == 0.0 and e["bound"] == float("inf") for e in entries)
+    assert doc["violations"] == [{
+        "name": "no error budget", "where": None,
+        "entries": [{"x": x, "witness": w} for x in (0.5, 1.0) for w in (0, 1)]}]
 
 
 _ONE_BRANCH_FIXED_POINT = {
@@ -239,7 +268,7 @@ def test_run_hyperstab_and_determinism(tmp_path):
     b2 = json.dumps(d2, sort_keys=True)
     assert b1 == b2
     assert d1["report"]["feasible"]
-    assert "violations" not in d1["report"]
+    assert d1["violations"] == []
 
 
 @pytest.mark.parametrize("m_values", [[], [13]])
@@ -247,10 +276,11 @@ def test_hyperstab_with_no_index_checked_exits_2_with_violation(m_values, tmp_pa
     # an empty m_values, or only indices outside M0, computes no Q_m
     payload = dict(REFERENCE_HYPERSTAB_PAYLOAD, m_values=m_values)
     assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) == 2
-    report = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]
+    doc = json.loads((tmp_path / "hyperstab_report.json").read_text())
+    report = doc["report"]
     assert report["feasible"] and report["per_m"] == []
-    assert report["violations"] == [{"name": "no index checked", "requested": m_values,
-                                     "m0_members": report["m0"]["members"]}]
+    assert doc["violations"] == [{"name": "no index checked", "where": None,
+                                  "requested": m_values, "m0_members": report["m0"]["members"]}]
     assert report["m0"]["members"]
 
 
@@ -317,15 +347,40 @@ def test_docs_schemas_in_sync():
         assert shipped == json_schema(cmd), f"docs schema stale for {cmd}"
 
 
+def test_readme_exit_table_names_every_violation():
+    # the README's exit-code table: one row per name, in its first column
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "README.md")) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| violation | command | `where` | trigger |") + 2
+    names = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        names.append(line.split("|")[1].strip().strip("`"))
+    assert names == list(VIOLATIONS)
+
+
+def test_pair_shortfall_names_the_vacuous_check():
+    assert _pair_shortfall(5, 5) == [] and _pair_shortfall(0, 0) == []
+    assert _pair_shortfall(7, 0) == [{
+        "name": "no admissible pairs", "where": None, "requested_pairs": 7,
+        "admissible_pairs": 0, "rejected_pairs": 70}]
+    (few,) = _pair_shortfall(7, 3, "m=2")
+    assert few["name"] == "too few admissible pairs" and few["rejected_pairs"] == 67
+    assert few["where"] == "m=2"
+
+
 def test_solve_with_no_admissible_pairs_stops_with_violation(tmp_path):
     # |x| = |y| = 1 and a = b: every pair lies on the excluded diagonal
     cfg = parse_config(make_config(
         "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}, "grid": [1.0]}))
     code = run(cfg, out_dir=str(tmp_path))
     assert code == 2
-    report = json.loads((tmp_path / "solve_report.json").read_text())["report"]
+    doc = json.loads((tmp_path / "solve_report.json").read_text())
+    report = doc["report"]
     assert report["residual_pairs"] == 0
-    (violation,) = report["violations"]
+    (violation,) = doc["violations"]
     assert violation["name"] == "no admissible pairs"
     assert violation["admissible_pairs"] == 0
     assert violation["rejected_pairs"] == 10 * cfg.payload["residual_pairs"]
@@ -337,9 +392,9 @@ def test_solve_with_all_pairs_admissible_has_no_violations(tmp_path):
         "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0},
                   "residual_pairs": 50}))
     assert run(cfg, out_dir=str(tmp_path)) == 0
-    report = json.loads((tmp_path / "solve_report.json").read_text())["report"]
-    assert report["residual_pairs"] == 50
-    assert "violations" not in report
+    doc = json.loads((tmp_path / "solve_report.json").read_text())
+    assert doc["report"]["residual_pairs"] == 50
+    assert doc["violations"] == []
 
 
 def test_solve_overflow_exits_1_without_traceback(tmp_path, capsys):
@@ -375,19 +430,17 @@ def test_hyperstab_with_no_admissible_pairs_exits_2_with_violation(tmp_path):
     payload = dict(REFERENCE_HYPERSTAB_PAYLOAD, grid=[1.0])
     cfg = parse_config(make_config("HYPERSTAB", payload, seed=7))
     assert run(cfg, out_dir=str(tmp_path)) == 2
-    report = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]
+    doc = json.loads((tmp_path / "hyperstab_report.json").read_text())
     requested = payload["tolerances"]["residual_pairs"]
-    assert [rec["m"] for rec in report["per_m"]] == [2, 3, 5]
-    for rec in report["per_m"]:
-        assert rec["qm"]["residual_pairs"] == 0
-        assert rec["violations"] == [{
-            "name": "no admissible pairs", "requested_pairs": requested,
-            "admissible_pairs": 0, "rejected_pairs": 10 * requested}]
-    # with enough pairs the key is absent and the run is clean
+    assert [rec["m"] for rec in doc["report"]["per_m"]] == [2, 3, 5]
+    assert all(rec["qm"]["residual_pairs"] == 0 for rec in doc["report"]["per_m"])
+    assert doc["violations"] == [{
+        "name": "no admissible pairs", "where": f"m={m}", "requested_pairs": requested,
+        "admissible_pairs": 0, "rejected_pairs": 10 * requested} for m in (2, 3, 5)]
+    # with enough pairs the list is empty and the run is clean
     cfg = parse_config(make_config("HYPERSTAB", REFERENCE_HYPERSTAB_PAYLOAD, seed=7))
     assert run(cfg, out_dir=str(tmp_path)) == 0
-    report = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]
-    assert all("violations" not in rec for rec in report["per_m"])
+    assert json.loads((tmp_path / "hyperstab_report.json").read_text())["violations"] == []
 
 
 def test_solve_grid_rows_are_the_sampler_draws_in_order(tmp_path):

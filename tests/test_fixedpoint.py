@@ -435,6 +435,16 @@ def test_iterate_generic_path_size_guard():
     assert rep.converged
 
 
+def test_callable_orbit_beyond_the_float_range_names_the_order():
+    # T^n phi of phi = 1e-150 e1 is (1e10)^n phi, finite (about 1e160) at
+    # n = 31, but the level-31 coefficients are not: the level builder names
+    # the order.  Every step exceeds tol, so the orbit reaches that level.
+    phi = lambda x: 1e-150 * E1
+    with pytest.raises(ValueError, match=r"order n = 31: a coefficient is beyond the float range"):
+        iterate(radical_spec(c=1e10, d=1.0), phi, ScalarErrorFn([(1.0, 0.0)]), [1.0],
+                WITNESSES, tol=1e-300, n_max=40)
+
+
 def test_iterate_two_starts_agree():
     spec = radical_spec()
     tol = 1e-9

@@ -553,6 +553,15 @@ def test_sextic_identity_error_beyond_the_float_range_is_inf():
         assert expand_T_power(eq, 50, n).sextic_identity_error() == math.inf
 
 
+def test_expand_T_power_beyond_the_float_range_names_the_order():
+    # c = 1e10: the largest coefficient of T^30 is 1.0e300, and T^31's is past
+    # the float range (math.exp raised a bare OverflowError)
+    eq = EquationParams(1.0, 1.0, 1e10, 1.0)
+    assert np.isfinite(expand_T_power(eq, 2, 30).coeffs).all()
+    with pytest.raises(ValueError, match=r"order n = 31: a coefficient is beyond the float range"):
+        expand_T_power(eq, 2, 31)
+
+
 def test_table_apply_equals_callable_orbit_level_bit_for_bit():
     # ExpansionTable.apply and fixedpoint's callable-phi orbit share one level
     # builder and one evaluator, so T_m^n phi agrees to the last bit

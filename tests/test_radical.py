@@ -3,7 +3,7 @@ import pytest
 
 from qbanach.radical import (DRAWS_PER_PAIR, EquationParams, InadmissiblePairError,
                              NoExactSolutionError, Term, VectorFunction, admissibility,
-                             check_structure, make_solution, pair_shortfall, real_root,
+                             check_structure, make_solution, real_root,
                              residual, sample_admissible_pairs)
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -225,12 +225,3 @@ def test_sampler_on_the_excluded_diagonal_stops_after_its_cap():
     assert not any(ok for _, _, ok in draws)
     assert {abs(x) for x, _, _ in draws} == {1.0}
     assert list(sample_admissible_pairs(eq, 1.0, 1.0, 0, np.random.default_rng(0))) == []
-
-
-def test_pair_shortfall_names_the_vacuous_check():
-    assert pair_shortfall(5, 5) == {} and pair_shortfall(0, 0) == {}
-    assert pair_shortfall(7, 0) == {"violations": [{
-        "name": "no admissible pairs", "requested_pairs": 7,
-        "admissible_pairs": 0, "rejected_pairs": 70}]}
-    (few,) = pair_shortfall(7, 3)["violations"]
-    assert few["name"] == "too few admissible pairs" and few["rejected_pairs"] == 67
