@@ -6,8 +6,8 @@ hyperstability experiments."""
 
 from .envelope import (EnvelopeResult, check_p_triangle, envelope_norm, envelope_norm_rows,
                        theta)
-from .fixedpoint import (Branch, IterationSpec, ScalarErrorFn, apply_T,
-                         check_uniqueness_condition, epsilon_star, iterate, load_sample_grid)
+from .fixedpoint import (Branch, IterationSpec, ScalarErrorFn, apply_T, epsilon_star, iterate,
+                         load_sample_grid)
 from .hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig, ExpansionTable,
                         HyperstabConstants, compute_Qm, constants, expand_T_power,
                         find_M0, radical_iteration_spec, run_experiment,

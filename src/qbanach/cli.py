@@ -431,13 +431,13 @@ def serialize_config(config: RunConfig) -> str:
 # command execution
 # ---------------------------------------------------------------------------
 
-VIOLATIONS = (  # every cause of exit 2; each runner returns (body, list of _violation records)
+VIOLATIONS = (  # every cause of exit 2; each runner returns (body, _violation records, CSV tables)
     "axiom violated", "no valid B4 triples",                                 # check-space
     "certificate failure", "p-triangle violated",                            # envelope
-    "not converged", "divergent eps_star", "no error budget",                # fixed-point
+    "not converged", "divergent eps_star", "no error budget",                # fixed-point (+ hyperstab)
     "no exact solution", "structure law over tol", "residual over tol",      # solve
     "no admissible pairs", "too few admissible pairs",                       # solve, hyperstab
-    "empty M0", "no index checked", "bound not satisfied", "Q_m not converged")  # hyperstab
+    "empty M0", "no index checked", "Q_m not converged")                     # hyperstab
 
 
 def _violation(name: str, where=None, **detail) -> dict:
@@ -456,6 +456,12 @@ def _pair_shortfall(requested: int, admissible: int, where=None) -> list:
                        rejected_pairs=DRAWS_PER_PAIR * requested - admissible)]
 
 
+def _no_budget(unbudgeted: list, where=None) -> list:
+    """``[]``, or the record of the bound entries (``{"x", "witness"}``) whose
+    deviation has no error budget, so that no finite K covers them."""
+    return [_violation("no error budget", where, entries=unbudgeted)] if unbudgeted else []
+
+
 def _run_check_space(payload, seed):
     space = space_from_dict(payload["space"])
     report = check_axioms(space, payload["trials"], seed)
@@ -467,7 +473,7 @@ def _run_check_space(payload, seed):
     if report.degenerate == report.trials:
         # B4 compared no triple: kappa_observed 0.0 and no B4 count mean nothing
         violations.append(_violation("no valid B4 triples", degenerate_triples=report.degenerate))
-    return body, violations
+    return body, violations, {}
 
 
 def _run_envelope(payload, seed):
@@ -497,7 +503,7 @@ def _run_envelope(payload, seed):
                                      worst_sum_gap=worst_gap))
     if tri.violations:
         violations.append(_violation("p-triangle violated", count=tri.violations))
-    return body, violations
+    return body, violations, {}
 
 
 def _run_fixed_point(payload, seed):
@@ -520,15 +526,11 @@ def _run_fixed_point(payload, seed):
     if not report.eps_star_converged:
         rho, s = max((rho, s) for (c, s), rho in zip(eps.terms, eps.rates(spec)) if c > 0)
         violations.append(_violation("divergent eps_star", rho=rho, exponent=s))
-    # a deviation where eps* is 0 has no error budget: its bound reads inf
-    unbudgeted = [{"x": e["x"], "witness": e["witness"]} for e in report.bound_entries
-                  if e["eps_star"] == 0.0 and e["bound"] == math.inf]
-    if unbudgeted:
-        violations.append(_violation("no error budget", entries=unbudgeted))
-    return {"spec": spec.to_dict(), "report": report.to_dict()}, violations
+    violations += _no_budget(report.unbudgeted)
+    return {"spec": spec.to_dict(), "report": report.to_dict()}, violations, {}
 
 
-_GRID_ROWS = 1000  # sampled pairs listed in the solve report
+_GRID_ROWS = 1000  # sampled pairs listed in residual_grid.csv
 _RESIDUAL_TOL = 1e-9  # largest residual over max(|x|, |y|)^(2 root_n) that passes
 
 
@@ -538,7 +540,7 @@ def _run_solve(payload, seed):
         f = make_solution(eq, payload["theta_coef"], payload.get("w"), payload["direction"])
     except NoExactSolutionError as exc:
         return ({"equation": eq.to_dict()},
-                [_violation("no exact solution", failed_constraints=exc.failed)])
+                [_violation("no exact solution", failed_constraints=exc.failed)], {})
     tol = payload["tol"]
     structure = check_structure(eq, f, payload["grid"], tol)
     wanted = payload["residual_pairs"]
@@ -547,21 +549,25 @@ def _run_solve(payload, seed):
     pairs = [(x, y) for x, y, ok in draws if ok]
     res = residual_rows(eq, f, [x for x, _ in pairs], [y for _, y in pairs])
     scale = [max(abs(x), abs(y)) ** (2 * eq.root_n) for x, y in pairs]
-    sup_res = hs._sup(np.abs(res).max(axis=1) / np.maximum(scale, 1e-300))
-    grid_rows, adm = [], iter(res)
-    for x, y, ok in draws[:_GRID_ROWS]:
-        # one np.linalg.norm per row: a batched norm rounds differently
-        grid_rows.append({"x": x, "y": y, "admissible": ok,
-                          "residual_norm": float(np.linalg.norm(next(adm))) if ok else None})
+    scaled = np.abs(res).max(axis=1) / np.maximum(scale, 1e-300)
+    sup_res = hs._sup(scaled)
     body = {"equation": eq.to_dict(), "solution": f.to_dict(),
             "structure": structure.to_dict(), "sup_residual_scaled": sup_res,
-            "residual_pairs": len(pairs), "residual_grid": grid_rows}
+            "residual_pairs": len(pairs), "drawn_pairs": len(draws),
+            "worst_pair": dict(zip("xy", pairs[int(np.argmax(scaled))])) if pairs else None}
+    # rows computed only when the CSV is written; one np.linalg.norm per row:
+    # a batched norm rounds differently
+    adm = iter(res)
+    grid_rows = ([x, y, float(np.linalg.norm(next(adm))) if ok else "", ok]
+                 for x, y, ok in draws[:_GRID_ROWS])
+    tables = {"structure_laws": (["law", "max_deviation"], sorted(structure.deviations.items())),
+              "residual_grid": (["x", "y", "residual_norm", "admissible"], grid_rows)}
     violations = [_violation("structure law over tol", law, deviation=dev, tol=tol)
                   for law, dev in sorted(structure.deviations.items()) if dev > tol]
     if sup_res > _RESIDUAL_TOL:
         violations.append(_violation("residual over tol", sup_residual_scaled=sup_res,
                                      tol=_RESIDUAL_TOL))
-    return body, violations + _pair_shortfall(wanted, len(pairs))
+    return body, violations + _pair_shortfall(wanted, len(pairs)), tables
 
 
 def _run_hyperstab(payload, seed):
@@ -571,20 +577,26 @@ def _run_hyperstab(payload, seed):
     cfg = hs.ExperimentConfig.from_dict(d)
     report = hs.run_experiment(cfg)
     if not report.feasible:
-        return report.to_dict(), [_violation("empty M0", m_max=cfg.m_max)]
+        return report.to_dict(), [_violation("empty M0", m_max=cfg.m_max)], {}
     # no requested m lies in M0: no Q_m was computed and no bound checked
     violations = [] if report.per_m else [_violation(
         "no index checked", requested=cfg.m_values, m0_members=report.m0.members)]
+    sweep = [c.to_dict() for c in report.m0.all_constants]
+    tables = {"constants_sweep": (list(sweep[0]), [list(c.values()) for c in sweep])}
     for rec in report.per_m:
         where, qm = f"m={rec['m']}", rec["qm"]
         if not qm["converged"]:
             violations.append(_violation("Q_m not converged", where, iterations=qm["iterations"]))
-        if not rec["bound_satisfied"]:
-            violations.append(_violation(
-                "bound not satisfied", where, K_observed=rec["K_observed"],
-                unsatisfied_entries=sum(not e["satisfied"] for e in rec["bound_entries"])))
+        violations += _no_budget(report.unbudgeted[rec["m"]], where)
         violations += _pair_shortfall(cfg.residual_pairs, qm["residual_pairs"], where)
-    return report.to_dict(), violations
+        # Q_m and f0 on the grid, with their largest componentwise gap
+        dim = len(qm["values"][0])
+        header = (["x"] + [f"Qm_{i}" for i in range(dim)]
+                  + [f"f0_{i}" for i in range(dim)] + ["abs_dev"])
+        tables[f"qm_grid_m{rec['m']}"] = (header, [
+            [x] + qv + fv + [max(abs(q - f0c) for q, f0c in zip(qv, fv))]
+            for x, qv, fv in zip(cfg.grid, qm["values"], qm["f0_values"])])
+    return report.to_dict(), violations, tables
 
 
 _RUNNERS = {
@@ -632,41 +644,12 @@ def emit_csv(sections: dict, out_dir: str) -> list:
     return paths
 
 
-def _tabular_sections(command: str, body: dict) -> dict:
-    sections = {}
-    if command == "HYPERSTAB" and body.get("feasible"):
-        header = ["m", "u", "v", "w", "A", "B", "C", "P", "sigma", "in_M0"]
-        rows = [[c["m"], c["u"], c["v"], c["w"], c["A"], c["B"], c["C"],
-                 c["P"], c["sigma"], c["in_M0"]] for c in body["m0"]["constants"]]
-        sections["constants_sweep"] = (header, rows)
-        for rec in body["per_m"]:
-            qm = rec["qm"]
-            dim = len(qm["values"][0]) if qm["values"] else 0
-            header = (["x"] + [f"Qm_{i}" for i in range(dim)]
-                      + [f"f0_{i}" for i in range(dim)] + ["abs_dev"])
-            rows = []
-            for x, qv, fv in zip(qm["grid"], qm["values"], qm["f0_values"] or qm["values"]):
-                dev = max(abs(q - f0c) for q, f0c in zip(qv, fv)) if dim else 0.0
-                rows.append([x] + list(qv) + list(fv) + [dev])
-            sections[f"qm_grid_m{rec['m']}"] = (header, rows)
-    elif command == "SOLVE" and "structure" in body:
-        header = ["law", "max_deviation"]
-        rows = sorted(body["structure"]["deviations"].items())
-        sections["structure_laws"] = (header, rows)
-        header = ["x", "y", "residual_norm", "admissible"]
-        rows = [[r["x"], r["y"],
-                 "" if r["residual_norm"] is None else r["residual_norm"], r["admissible"]]
-                for r in body["residual_grid"]]
-        sections["residual_grid"] = (header, rows)
-    return sections
-
-
 def run(config: RunConfig, out_dir: str | None = None) -> int:
     """Execute a validated config; write reports; return the exit code."""
     out_dir = out_dir or config.output or "."
     name = config.command.lower().replace("_", "-")
     try:
-        body, violations = _RUNNERS[config.command](config.payload, config.seed)
+        body, violations, tables = _RUNNERS[config.command](config.payload, config.seed)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -697,7 +680,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
         # one line: json's C encoder serves only dumps without an indent
         _atomic_write(path, json.dumps(document, sort_keys=True) + "\n")
         if config.format == "csv":
-            emit_csv(_tabular_sections(config.command, body), out_dir)
+            emit_csv(tables, out_dir)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

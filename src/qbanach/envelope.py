@@ -241,19 +241,13 @@ def envelope_norm(space: SpaceDescriptor, x, z, budget: int, seed: int) -> Envel
 
 @dataclass
 class PTriangleReport:
-    """Sampled check of the power triangle inequality for the envelope.
-
-    The left envelope is itself an upper bound of the true infimum, so a
-    counted violation is only genuine if the left certificate is exact;
-    ``lhs_is_upper_bound`` records that asymmetry.
-    """
+    """Sampled check of the power triangle inequality for the envelope."""
 
     trials: int
     violations: int
     degenerate: int
     worst: dict | None
     exponent: float
-    lhs_is_upper_bound: bool = True
 
     def to_dict(self) -> dict:
         return {
@@ -262,7 +256,6 @@ class PTriangleReport:
             "degenerate": self.degenerate,
             "worst": self.worst,
             "exponent": self.exponent,
-            "lhs_is_upper_bound": self.lhs_is_upper_bound,
         }
 
 
@@ -272,7 +265,9 @@ def check_p_triangle(space: SpaceDescriptor, trials: int, seed: int,
 
     ``r = theta(beta, kappa) / beta``; violations are counted beyond 1e-6
     relative slack.  About 1% of the z draws are degenerate (zero vector);
-    those trials are tallied separately and skipped.
+    those trials are tallied separately and skipped.  The left envelope is
+    itself an upper bound of the true infimum, so a counted violation is
+    genuine only if the left certificate is exact.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -33,19 +33,18 @@ import numpy as np
 
 from .envelope import theta
 from .radical import VectorFunction
-from .spaces import SpaceDescriptor, _as_vector, _norm_table, eval_norm
+from .spaces import SpaceDescriptor, _as_vector, _norm_table
 
 __all__ = [
     "Branch",
     "IterationSpec",
     "ScalarErrorFn",
     "EpsilonStarResult",
-    "UniquenessCheck",
     "FixedPointReport",
     "apply_T",
     "epsilon_star",
     "iterate",
-    "check_uniqueness_condition",
+    "bound_table",
     "load_sample_grid",
 ]
 
@@ -230,34 +229,6 @@ def epsilon_star(spec: IterationSpec, eps: ScalarErrorFn, x: float, theta_exp: f
     return _series_bracket(spec, eps, x, theta_exp, tol, n_max)
 
 
-@dataclass
-class UniquenessCheck:
-    satisfied: bool
-    divergent: bool
-    lhs: float  # sum (Lambda^n eps)^theta
-    rhs: float  # (M * sum Lambda^n eps)^theta
-
-    def __bool__(self) -> bool:
-        return self.satisfied
-
-
-def check_uniqueness_condition(spec: IterationSpec, eps: ScalarErrorFn, x: float,
-                               theta_exp: float, M: float, n_max: int = 256) -> UniquenessCheck:
-    """Test ``sum (Lambda^n eps)^theta <= (M sum Lambda^n eps)^theta`` with the
-    upper end of the left bracket against the lower end of the right one,
-    with relative slack 1e-12; both series diverge together (rho >= 1 at any
-    power), and then ``satisfied = False`` with the divergent flag set.
-    """
-    if M <= 0:
-        raise ValueError("M must be positive")
-    # tol far below the comparison slack, so a tie (theta = M = 1) passes
-    lhs = _series_bracket(spec, eps, x, theta_exp, 1e-14, n_max)
-    if not lhs.converged:
-        return UniquenessCheck(False, True, math.inf, math.inf)
-    rhs = (M * _series_bracket(spec, eps, x, 1.0, 1e-14, n_max).lower) ** theta_exp
-    return UniquenessCheck(lhs.value <= rhs * (1.0 + 1e-12), False, lhs.value, rhs)
-
-
 # ---------------------------------------------------------------------------
 # iteration
 # ---------------------------------------------------------------------------
@@ -268,10 +239,11 @@ class FixedPointReport:
     iterations: int
     psi_values: dict          # sample x -> codomain vector (list)
     sup_residual: float       # sup over samples/witnesses of |T psi - psi, y|
-    K_observed: float
+    K_observed: Optional[float]
     bound_entries: list = field(default_factory=list)
     theta: float = 1.0
     eps_star_converged: bool = True
+    unbudgeted: list = field(default_factory=list)  # bound_table's, not in the body
 
     def to_dict(self) -> dict:
         return {
@@ -284,6 +256,29 @@ class FixedPointReport:
             "theta": self.theta,
             "eps_star_converged": self.eps_star_converged,
         }
+
+
+def bound_table(space: SpaceDescriptor, diffs, witnesses, theta_exp: float, rhs_unit,
+                xs: Sequence[float]):
+    """The bound ``|diffs[r], y_j|^theta <= K rhs_unit[r][j]`` over the samples
+    ``xs`` and witnesses y_j: ``(K_observed, entries, unbudgeted)``, the
+    entries ``{"x", "witness", "lhs_pow_theta", "rhs_unit_K"}`` sample-major,
+    with the left sides from one ``_norm_table`` call (a scalar pow each).
+    An inf right side bounds nothing.  A right side not > 0 under a left side
+    above 1e-12 has no budget: such entries are listed as ``{"x", "witness"}``
+    and ``K_observed`` is None.  Otherwise it is the largest lhs / rhs over
+    finite positive right sides, 0.0 without one.
+    """
+    lhs = [v ** theta_exp for v in _norm_table(space, diffs, witnesses).ravel().tolist()]
+    rhs = np.asarray(rhs_unit, dtype=float).ravel().tolist()
+    cells = [(float(x), j) for x in xs for j in range(len(witnesses))]
+    entries = [{"x": x, "witness": j, "lhs_pow_theta": d, "rhs_unit_K": r}
+               for (x, j), d, r in zip(cells, lhs, rhs)]
+    unbudgeted = [{"x": x, "witness": j} for (x, j), d, r in zip(cells, lhs, rhs)
+                  if not r > 0 and d > 1e-12]
+    if unbudgeted:
+        return None, entries, unbudgeted
+    return max([0.0, *(d / r for d, r in zip(lhs, rhs) if 0 < r < math.inf)]), entries, []
 
 
 def _term_multiplier(spec: IterationSpec, exponent: float, signed: bool) -> float:
@@ -431,8 +426,9 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
 
     Convergence requires three consecutive sup-steps (over samples and
     witnesses, measured in the space norm) below ``tol``.  The report records
-    the fixed-point residual, the theta-powered deviation bound entries and
-    the smallest constant K that satisfies them on the samples.  A callable
+    the fixed-point residual and the ``bound_table`` of ``|phi(x) - psi(x),
+    y|^theta`` against the upper end of ``epsilon_star`` times
+    ``weight(y)^theta``.  A callable
     phi (not a ``VectorFunction``) whose level ``n_max`` has more than
     ``MAX_ORBIT_TERMS`` terms is refused with ``ValueError`` before phi is
     called, and so is an empty sample set.
@@ -464,31 +460,11 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
     sup_residual = _sup_step(spec.space, witnesses, psi_rows, tpsi_rows,
                              "fixed-point residual T psi - psi")
 
-    K_observed = 0.0
-    bound_entries = []
-    eps_star_ok = True
-    for x, phi_x, psi_x in zip(sample_xs, phi_rows, psi_rows):
-        star = epsilon_star(spec, eps, x, th)
-        eps_star_ok = eps_star_ok and star.converged
-        for wi, y in enumerate(witnesses):
-            dev = eval_norm(spec.space, phi_x - psi_x, y) ** th
-            weight = eps.weight(y) ** th if eps.weight is not None else 1.0
-            star_xy = star.value * weight
-            if star_xy > 0 and math.isfinite(star_xy):
-                K_observed = max(K_observed, dev / star_xy)
-            elif dev > 1e-12:
-                K_observed = math.inf
-            bound_entries.append({
-                "x": float(x), "witness": wi, "deviation_pow_theta": dev,
-                "eps_star": star_xy,
-            })
-    for entry in bound_entries:
-        # where eps* or K is 0 the product says nothing (0 * inf is NaN): the
-        # bound is inf over a deviation, 0 without one
-        if K_observed and entry["eps_star"]:
-            entry["bound"] = K_observed * entry["eps_star"]
-        else:
-            entry["bound"] = math.inf if entry["deviation_pow_theta"] > 1e-12 else 0.0
+    stars = [epsilon_star(spec, eps, x, th) for x in sample_xs]
+    weights = [1.0 if eps.weight is None else eps.weight(y) ** th for y in witnesses]
+    K_observed, entries, unbudgeted = bound_table(
+        spec.space, np.subtract(phi_rows, psi_rows), witnesses, th,
+        [[star.value * w for w in weights] for star in stars], sample_xs)
 
     return FixedPointReport(
         converged=converged,
@@ -496,9 +472,10 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
         psi_values={x: np.asarray(row).tolist() for x, row in zip(sample_xs, psi_rows)},
         sup_residual=sup_residual,
         K_observed=K_observed,
-        bound_entries=bound_entries,
+        bound_entries=entries,
         theta=th,
-        eps_star_converged=eps_star_ok,
+        eps_star_converged=all(star.converged for star in stars),
+        unbudgeted=unbudgeted,
     )
 
 

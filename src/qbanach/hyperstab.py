@@ -45,7 +45,7 @@ import numpy as np
 
 from .envelope import theta
 from .fixedpoint import (Branch, IterationSpec, _apply_terms, _converge, _multinomial_terms,
-                         _term_iterates)
+                         _term_iterates, bound_table)
 from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction,
                       admissibility, make_solution, real_root,
                       residual_rows, sample_admissible_pairs)
@@ -375,7 +375,7 @@ class QmResult:
 
     def to_dict(self) -> dict:
         return {
-            "m": self.m, "grid": self.grid, "values": self.values,
+            "values": self.values,
             "f0_values": self.f0_values, "iterations": self.iterations,
             "converged": self.converged,
             "sup_residual_scaled": self.sup_residual_scaled,
@@ -521,10 +521,10 @@ class HyperstabReport:
     m0: M0Result
     theta: float
     per_m: list
-    trend: list
     consistency: dict
     warnings: list
     config: dict
+    unbudgeted: dict = field(default_factory=dict)  # m -> bound_table's, not in the body
 
     def to_dict(self) -> dict:
         return {
@@ -532,7 +532,6 @@ class HyperstabReport:
             "m0": self.m0.to_dict(),
             "theta": self.theta,
             "per_m": self.per_m,
-            "trend": self.trend,
             "consistency": self.consistency,
             "warnings": self.warnings,
             "config": self.config,
@@ -572,7 +571,9 @@ def _solution_f0(eq: EquationParams, sol: dict):
 
 def run_experiment(config: ExperimentConfig) -> HyperstabReport:
     """Full hyperstability pipeline: feasible set, Q_m recovery, residual and
-    deviation-bound verification, and the near-diagonal consistency probe."""
+    deviation-bound verification (``bound_table`` of ``|f - Q_m, z|^theta``
+    against ``theorem_bound_rows`` at K = 1), and the near-diagonal
+    consistency probe."""
     warnings = []
     eq = config.equation
     space = config.space
@@ -596,7 +597,7 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
     m0 = find_M0(eq, config.model, space.kappa, space.beta, config.m_max)
     if not m0.members:
         return HyperstabReport(
-            feasible=False, m0=m0, theta=th, per_m=[], trend=[],
+            feasible=False, m0=m0, theta=th, per_m=[],
             consistency={}, warnings=warnings + ["M0 is empty; no iteration performed"],
             config=config.to_dict(),
         )
@@ -607,6 +608,7 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
         warnings.append(f"requested m outside M0 skipped: {skipped}")
 
     consts_by_m = {c.m: c for c in m0.all_constants}
+    unbudgeted = {}
 
     def process(m: int) -> dict:
         cst = consts_by_m[m]
@@ -623,31 +625,23 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
                            1e-300)
         sup_dev_rel = _sup(np.abs(qv - f0v).max(axis=1) / denom)
         sup_f_qm = _sup(np.abs(fv - qv).max(axis=1))
-        dev_pow = [v ** th for v in _norm_table(space, fv - qv, witnesses).ravel().tolist()]
-        rhs_unit = theorem_bound_rows(config.model, cst, th, 1.0, grid, witnesses,
-                                      eq.root_n).ravel().tolist()
-        K_obs = _sup([d / r for d, r in zip(dev_pow, rhs_unit) if math.isfinite(r) and r > 0])
-        entries = [{"x": float(x), "lhs_pow_theta": d, "rhs_unit_K": r}
-                   for x, d, r in zip(np.repeat(grid, len(witnesses)).tolist(), dev_pow, rhs_unit)]
-        for e in entries:
-            e["bound"] = K_obs * e["rhs_unit_K"]
-            e["satisfied"] = e["lhs_pow_theta"] <= e["bound"] * (1.0 + 1e-9) or e["rhs_unit_K"] == math.inf
+        K_obs, entries, unbudgeted[m] = bound_table(
+            space, fv - qv, witnesses, th,
+            theorem_bound_rows(config.model, cst, th, 1.0, grid, witnesses, eq.root_n), grid)
         return {
             "m": m,
-            "constants": cst.to_dict(),
             "qm": qm.to_dict(),
             "sup_dev_from_f0_rel": sup_dev_rel,
             "sup_f_minus_Qm": sup_f_qm,
             "K_observed": K_obs,
             "bound_entries": entries,
-            "bound_satisfied": all(e["satisfied"] for e in entries),
         }
 
     per_m = [process(m) for m in selected]
 
-    trend = [{"m": rec["m"], "sup_f_minus_Qm": rec["sup_f_minus_Qm"]} for rec in per_m]
     consistency = _consistency_scan(eq, f, config.model, config.grid, witnesses, space)
     return HyperstabReport(
-        feasible=True, m0=m0, theta=th, per_m=per_m, trend=trend,
+        feasible=True, m0=m0, theta=th, per_m=per_m,
         consistency=consistency, warnings=warnings, config=config.to_dict(),
+        unbudgeted=unbudgeted,
     )

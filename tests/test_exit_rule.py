@@ -88,8 +88,6 @@ DRIVE_TO_FAIL = {
     # positive exponents make every P_m exceed 1
     "empty M0": _hyperstab(component={"p": 1.0}),
     "no index checked": _hyperstab(m_values=[]),
-    # a zero error model: every bound is 0 and the deviations are not
-    "bound not satisfied": _hyperstab(component={"c": 0.0}),
     "Q_m not converged": _hyperstab(tolerances={"qm_n_max": 1}),
 }
 

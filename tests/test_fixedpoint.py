@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qbanach.fixedpoint import (MAX_ORBIT_TERMS, Branch, IterationSpec, ScalarErrorFn,
-                                apply_T, check_uniqueness_condition, epsilon_star, iterate,
-                                load_sample_grid)
+                                apply_T, epsilon_star, iterate, load_sample_grid)
 from qbanach.hyperstab import radical_iteration_spec, sequences
 from qbanach.radical import EquationParams, Term, VectorFunction
 from qbanach.fixedpoint import _sup_step
@@ -174,8 +173,6 @@ def test_epsilon_star_divergent_probe():
         res = epsilon_star(spec, eps, 1.0, th)
         assert not res.converged
         assert res.value == math.inf
-    chk = check_uniqueness_condition(spec, eps, 1.0, 0.5, M=1.0)
-    assert chk.divergent and not chk.satisfied
 
 
 def mp_series(spec, eps, x, power):
@@ -484,25 +481,6 @@ def test_induction_inequality_step_bounds():
             step = t_power(n + 1, x) - t_power(n, x)
             for y in WITNESSES:
                 assert eval_norm(spec.space, step, y) <= img.eval(x) * (1 + 1e-9)
-
-
-def test_uniqueness_condition_examples():
-    spec = IterationSpec([Branch(scale=1.0, coef=0.5, kappa_exp=1)], cross_2norm())
-    eps = ScalarErrorFn([(1.0, 0.0)])
-    assert check_uniqueness_condition(spec, eps, 1.0, 1.0, M=1.0)
-    # theta = 0.5: lhs = 1/(1-sqrt(1/2)) ~ 3.414 vs (M*2)^0.5
-    assert not check_uniqueness_condition(spec, eps, 1.0, 0.5, M=1.0)
-    assert not check_uniqueness_condition(spec, eps, 1.0, 0.5, M=3.0)
-    assert check_uniqueness_condition(spec, eps, 1.0, 0.5, M=6.0)
-
-
-def test_uniqueness_condition_zero_and_divergent():
-    spec_ok = IterationSpec([Branch(scale=1.0, coef=0.5, kappa_exp=1)], cross_2norm())
-    assert check_uniqueness_condition(spec_ok, ScalarErrorFn([(0.0, 0.0)]), 1.0, 0.5, M=1.0)
-    spec_div = IterationSpec([Branch(scale=1.0, coef=1.0, kappa_exp=1)], cross_2norm())
-    res = check_uniqueness_condition(spec_div, ScalarErrorFn([(1.0, 0.0)]), 1.0, 1.0, M=1.0)
-    assert not res.satisfied
-    assert res.divergent
 
 
 def test_branch_validation():

@@ -14,6 +14,7 @@ from qbanach.hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig,
                                sequences, theorem_bound)
 from qbanach.radical import EquationParams, Term, VectorFunction, make_solution
 from qbanach.spaces import cross_2norm
+from test_report_golden import check_bound_table
 
 E1 = np.array([1.0, 0.0, 0.0])
 Y_DIR = np.array([1.0, 1.0, 0.0])
@@ -334,7 +335,7 @@ def test_run_experiment_exact_input():
     for rec in report.per_m:
         assert rec["qm"]["converged"]
         assert rec["sup_f_minus_Qm"] <= 1e-12
-        assert rec["bound_satisfied"]
+        assert rec["K_observed"] is not None
     assert not report.consistency["exceeds_gamma"]
 
 
@@ -348,10 +349,27 @@ def test_run_experiment_perturbed_input():
     for rec in report.per_m:
         assert rec["qm"]["converged"]
         assert rec["sup_dev_from_f0_rel"] < 1e-6
+        assert rec["K_observed"] is not None
         assert rec["K_observed"] <= 1 + 1e-6
-        assert rec["bound_satisfied"]
     assert report.consistency["exceeds_gamma"]
     assert report.consistency["max_residual_gamma_ratio"] > 1.0
+
+
+def test_run_experiment_bound_tables_hold_at_K_observed():
+    # the reference experiment at m = 2, 3, 5, and the same with a zero error
+    # model, whose right sides are all 0 under nonzero deviations
+    zero = reference_model()
+    zero.components = tuple(ErrorComponent(0.0, comp.p, comp.y) for comp in zero.components)
+    for model in (reference_model(), zero):
+        cfg = reference_config(eta=0.1)
+        cfg.model = model
+        report = run_experiment(cfg)
+        assert [rec["m"] for rec in report.per_m] == [2, 3, 5]
+        for rec in report.per_m:
+            assert set(rec["bound_entries"][0]) == {"x", "witness", "lhs_pow_theta", "rhs_unit_K"}
+            unbudgeted = report.unbudgeted[rec["m"]]
+            assert (rec["K_observed"] is None) == (model is zero) == bool(unbudgeted)
+            check_bound_table(rec["K_observed"], rec["bound_entries"], unbudgeted)
 
 
 def test_run_experiment_infeasible_model():

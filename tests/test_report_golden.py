@@ -8,11 +8,19 @@ refactor must leave all of them byte-identical.
 Re-record (only when a change of output is intended, and say so)::
 
     PYTHONPATH=src python tests/test_report_golden.py --record
+
+List, per case, the key paths that the current program adds (+), removes
+(-) or changes (~) against the recorded file, with list indices folded to
+``[]`` and a count per path; this writes nothing::
+
+    PYTHONPATH=src python tests/test_report_golden.py --diff
 """
 
 import json
+import math
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -118,18 +126,110 @@ def test_report_body_matches_golden(label, config, tmp_path):
     assert got["csv"] == golden["csv"]
 
 
-def record():
+def check_bound_table(K_observed, entries, named):
+    """What the per-entry ``satisfied`` flags used to state, from the table
+    alone: every entry with a finite positive ``rhs_unit_K`` holds at
+    ``K_observed`` (relative slack 1e-9), ``K_observed`` is the largest such
+    ratio (0.0 without one), and every entry without a budget is among
+    ``named`` ({"x", "witness"} records), with ``K_observed`` None."""
+    ratios = [e["lhs_pow_theta"] / e["rhs_unit_K"] for e in entries
+              if 0 < e["rhs_unit_K"] < math.inf]
+    unbudgeted = [{"x": e["x"], "witness": e["witness"]} for e in entries
+                  if not e["rhs_unit_K"] > 0 and e["lhs_pow_theta"] > 1e-12]
+    assert all(u in named for u in unbudgeted)
+    if unbudgeted:
+        assert K_observed is None
+        return
+    assert K_observed == max(ratios, default=0.0)
+    for e in entries:
+        if 0 < e["rhs_unit_K"] < math.inf:
+            assert e["lhs_pow_theta"] <= K_observed * e["rhs_unit_K"] * (1 + 1e-9)
+
+
+_BOUND_CASES = ["hyperstab_reference", "fixed_point_cross", "fixed_point_lp",
+                "fixed_point_powered", "hyperstab_lp_gmap_signed"]
+
+
+@pytest.mark.parametrize("label", _BOUND_CASES)
+def test_golden_bound_tables_hold_at_K_observed(label):
+    case = _load_golden()[label]
+    report, violations = case["document"]["report"], case["document"]["violations"]
+    if label.startswith("fixed_point"):
+        tables = [(None, report["report"])]
+    else:
+        tables = [(f"m={rec['m']}", rec) for rec in report["per_m"]]
+    assert tables and all(t["bound_entries"] for _, t in tables)
+    for where, table in tables:
+        named = [e for v in violations if v["name"] == "no error budget" and v["where"] == where
+                 for e in v["entries"]]
+        check_bound_table(table["K_observed"], table["bound_entries"], named)
+
+
+def _leaves(node, path=()):
+    """``{path: json text}`` of every leaf; an empty list or object is a leaf."""
+    if isinstance(node, dict) and node:
+        items = node.items()
+    elif isinstance(node, list) and node:
+        items = enumerate(node)
+    else:
+        return {path: json.dumps(node, sort_keys=True)}
+    out = {}
+    for key, value in items:
+        out.update(_leaves(value, path + (key,)))
+    return out
+
+
+def _fold(path) -> str:
+    return "".join("[]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def diff_paths(old, new) -> list:
+    """``(mark, folded path, count)`` for the leaves that ``new`` adds (+),
+    removes (-) or changes (~) against ``old``, sorted by mark and path."""
+    a, b = _leaves(old), _leaves(new)
+    marks = Counter()
+    for path in a.keys() | b.keys():
+        mark = "-" if path not in b else "+" if path not in a else "~" if a[path] != b[path] else ""
+        if mark:
+            marks[mark, _fold(path)] += 1
+    return sorted((mark, path, n) for (mark, path), n in marks.items())
+
+
+def test_diff_paths_folds_list_indices_and_counts():
+    old = {"a": [{"x": 1, "y": 2}, {"x": 1, "y": 2}], "b": 1.0, "c": {}}
+    new = {"a": [{"x": 1, "z": 2}, {"x": 3, "z": 2}], "b": 1, "c": {}, "d": []}
+    assert diff_paths(old, new) == [("+", "a[].z", 2), ("+", "d", 1), ("-", "a[].y", 2),
+                                    ("~", "a[].x", 1), ("~", "b", 1)]
+    assert diff_paths(new, new) == []
+
+
+def _run_all():
     import tempfile
-    cases = []
     for label, config in golden_configs():
         with tempfile.TemporaryDirectory() as tmp:
-            cases.append({"label": label, "config": config, **run_case(config, tmp)})
+            yield label, config, run_case(config, tmp)
+
+
+def record():
+    cases = [{"label": label, "config": config, **got} for label, config, got in _run_all()]
     with open(GOLDEN_PATH, "w") as fh:
         json.dump({"cases": cases}, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
+def diff():
+    golden = _load_golden()
+    for label, config, got in _run_all():
+        old = golden.get(label, {})
+        old = {k: old[k] for k in ("config", "exit_code", "document", "csv") if k in old}
+        lines = diff_paths(old, {"config": config, **got})
+        print(f"{label}:" + ("" if lines else " unchanged"))
+        for mark, path, n in lines:
+            print(f"  {mark} {path}  ({n})")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    commands = {"--record": record, "--diff": diff}
+    if len(sys.argv) != 2 or sys.argv[1] not in commands:
         sys.exit(__doc__)
-    record()
+    commands[sys.argv[1]]()
