@@ -34,7 +34,7 @@ from .fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate, load_samp
 # in every namespace, cli's included, and its test checks that binding
 from .radical import (DRAWS_PER_PAIR, EquationParams, NoExactSolutionError,  # noqa: F401
                       VectorFunction, admissibility, check_structure, make_solution,
-                      residual_rows, sample_admissible_pairs)
+                      residual_check)
 from .spaces import check_axioms, estimate_kappa, eval_norm_rows, space_from_dict
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config",
@@ -196,7 +196,7 @@ SCHEMAS = {
                     "g_map": {"type": "any"},
                 },
                 "required": ["components"],
-                "defaults": {"alpha": 1.0, "g_map": "IDENTITY"},
+                "defaults": {"g_map": "IDENTITY"},
             },
             "solution": {
                 "type": "object",
@@ -531,7 +531,7 @@ def _run_fixed_point(payload, seed):
 
 
 _GRID_ROWS = 1000  # sampled pairs listed in residual_grid.csv
-_RESIDUAL_TOL = 1e-9  # largest residual over max(|x|, |y|)^(2 root_n) that passes
+_RESIDUAL_TOL = 1e-9  # residual over the terms that cancel; an exact solution reads ~1e-15
 
 
 def _run_solve(payload, seed):
@@ -545,16 +545,9 @@ def _run_solve(payload, seed):
     structure = check_structure(eq, f, payload["grid"], tol)
     wanted = payload["residual_pairs"]
     lo, hi = min(map(abs, payload["grid"])), max(map(abs, payload["grid"]))
-    draws = list(sample_admissible_pairs(eq, lo, hi, wanted, np.random.default_rng(seed)))
-    pairs = [(x, y) for x, y, ok in draws if ok]
-    res = residual_rows(eq, f, [x for x, _ in pairs], [y for _, y in pairs])
-    scale = [max(abs(x), abs(y)) ** (2 * eq.root_n) for x, y in pairs]
-    scaled = np.abs(res).max(axis=1) / np.maximum(scale, 1e-300)
-    sup_res = hs._sup(scaled)
+    residuals, draws, res = residual_check(eq, f, lo, hi, wanted, np.random.default_rng(seed))
     body = {"equation": eq.to_dict(), "solution": f.to_dict(),
-            "structure": structure.to_dict(), "sup_residual_scaled": sup_res,
-            "residual_pairs": len(pairs), "drawn_pairs": len(draws),
-            "worst_pair": dict(zip("xy", pairs[int(np.argmax(scaled))])) if pairs else None}
+            "structure": structure.to_dict(), **residuals}
     # rows computed only when the CSV is written; one np.linalg.norm per row:
     # a batched norm rounds differently
     adm = iter(res)
@@ -564,10 +557,10 @@ def _run_solve(payload, seed):
               "residual_grid": (["x", "y", "residual_norm", "admissible"], grid_rows)}
     violations = [_violation("structure law over tol", law, deviation=dev, tol=tol)
                   for law, dev in sorted(structure.deviations.items()) if dev > tol]
-    if sup_res > _RESIDUAL_TOL:
-        violations.append(_violation("residual over tol", sup_residual_scaled=sup_res,
-                                     tol=_RESIDUAL_TOL))
-    return body, violations + _pair_shortfall(wanted, len(pairs)), tables
+    if residuals["sup_residual_scaled"] > _RESIDUAL_TOL:
+        violations.append(_violation("residual over tol", tol=_RESIDUAL_TOL,
+                                     sup_residual_scaled=residuals["sup_residual_scaled"]))
+    return body, violations + _pair_shortfall(wanted, residuals["residual_pairs"]), tables
 
 
 def _run_hyperstab(payload, seed):
@@ -595,7 +588,7 @@ def _run_hyperstab(payload, seed):
                   + [f"f0_{i}" for i in range(dim)] + ["abs_dev"])
         tables[f"qm_grid_m{rec['m']}"] = (header, [
             [x] + qv + fv + [max(abs(q - f0c) for q, f0c in zip(qv, fv))]
-            for x, qv, fv in zip(cfg.grid, qm["values"], qm["f0_values"])])
+            for x, qv, fv in zip(cfg.grid, qm["values"], report.f0_values)])
     return report.to_dict(), violations, tables
 
 
@@ -677,12 +670,16 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
     }
     try:
         path = os.path.join(out_dir, f"{config.command.lower()}_report.json")
-        # one line: json's C encoder serves only dumps without an indent
-        _atomic_write(path, json.dumps(document, sort_keys=True) + "\n")
+        # one line: json's C encoder serves only dumps without an indent; inf
+        # and NaN are not JSON (RFC 8259), so a report writes a vacuous number as null
+        _atomic_write(path, json.dumps(document, sort_keys=True, allow_nan=False) + "\n")
         if config.format == "csv":
             emit_csv(tables, out_dir)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {name}: non-finite number in the report: {exc}", file=sys.stderr)
         return 1
     return 2 if violations else 0
 

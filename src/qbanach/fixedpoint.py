@@ -27,7 +27,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -119,14 +119,10 @@ class IterationSpec:
 
 @dataclass
 class ScalarErrorFn:
-    """Error majorant ``eps(x, z) = (sum_j c_j |x|^{s_j}) * weight(z)``.
-
-    ``weight`` is a fixed evaluable factor on the codomain (default constant
-    1).  The power-term family is closed under the Lambda action.
-    """
+    """Error majorant ``eps(x) = sum_j c_j |x|^{s_j}``; the power-term family
+    is closed under the Lambda action."""
 
     terms: list  # list of (c, s) with c >= 0
-    weight: Optional[Callable] = None
 
     def __post_init__(self):
         self.terms = [(float(c), float(s)) for c, s in self.terms]
@@ -134,11 +130,8 @@ class ScalarErrorFn:
             if c < 0:
                 raise ValueError("term coefficients must be nonnegative")
 
-    def eval(self, x: float, z=None) -> float:
-        total = sum(c * abs(x) ** s for c, s in self.terms)
-        if self.weight is not None and z is not None:
-            total *= self.weight(z)
-        return total
+    def eval(self, x: float) -> float:
+        return sum(c * abs(x) ** s for c, s in self.terms)
 
     def rates(self, spec: IterationSpec) -> list:
         """``rho_s = sum_i L_i |scale_i|^s`` for each term (c, s)."""
@@ -148,8 +141,7 @@ class ScalarErrorFn:
 
     def lambda_image(self, spec: IterationSpec) -> "ScalarErrorFn":
         """Closed-form image under Lambda: term (c, s) -> (c * rho_s, s)."""
-        return ScalarErrorFn([(c * rho, s) for (c, s), rho in zip(self.terms, self.rates(spec))],
-                             weight=self.weight)
+        return ScalarErrorFn([(c * rho, s) for (c, s), rho in zip(self.terms, self.rates(spec))])
 
 
 def _call_fn(f, x: float):
@@ -264,15 +256,16 @@ def bound_table(space: SpaceDescriptor, diffs, witnesses, theta_exp: float, rhs_
     ``xs`` and witnesses y_j: ``(K_observed, entries, unbudgeted)``, the
     entries ``{"x", "witness", "lhs_pow_theta", "rhs_unit_K"}`` sample-major,
     with the left sides from one ``_norm_table`` call (a scalar pow each).
-    An inf right side bounds nothing.  A right side not > 0 under a left side
-    above 1e-12 has no budget: such entries are listed as ``{"x", "witness"}``
-    and ``K_observed`` is None.  Otherwise it is the largest lhs / rhs over
-    finite positive right sides, 0.0 without one.
+    An inf right side bounds nothing and reads None (JSON null).  A right side
+    not > 0 under a left side above 1e-12 has no budget: such entries are
+    listed as ``{"x", "witness"}`` and ``K_observed`` is None.  Otherwise it
+    is the largest lhs / rhs over finite positive right sides, 0.0 without one.
     """
     lhs = [v ** theta_exp for v in _norm_table(space, diffs, witnesses).ravel().tolist()]
     rhs = np.asarray(rhs_unit, dtype=float).ravel().tolist()
     cells = [(float(x), j) for x in xs for j in range(len(witnesses))]
-    entries = [{"x": x, "witness": j, "lhs_pow_theta": d, "rhs_unit_K": r}
+    entries = [{"x": x, "witness": j, "lhs_pow_theta": d,
+                "rhs_unit_K": None if r == math.inf else r}
                for (x, j), d, r in zip(cells, lhs, rhs)]
     unbudgeted = [{"x": x, "witness": j} for (x, j), d, r in zip(cells, lhs, rhs)
                   if not r > 0 and d > 1e-12]
@@ -427,11 +420,10 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
     Convergence requires three consecutive sup-steps (over samples and
     witnesses, measured in the space norm) below ``tol``.  The report records
     the fixed-point residual and the ``bound_table`` of ``|phi(x) - psi(x),
-    y|^theta`` against the upper end of ``epsilon_star`` times
-    ``weight(y)^theta``.  A callable
-    phi (not a ``VectorFunction``) whose level ``n_max`` has more than
-    ``MAX_ORBIT_TERMS`` terms is refused with ``ValueError`` before phi is
-    called, and so is an empty sample set.
+    y|^theta`` against the upper end of ``epsilon_star`` at x, for every
+    witness y.  A callable phi (not a ``VectorFunction``) whose level
+    ``n_max`` has more than ``MAX_ORBIT_TERMS`` terms is refused with
+    ``ValueError`` before phi is called, and so is an empty sample set.
     """
     if not len(sample_xs):
         raise ValueError("no sample points: iterate needs at least one")
@@ -461,10 +453,9 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
                              "fixed-point residual T psi - psi")
 
     stars = [epsilon_star(spec, eps, x, th) for x in sample_xs]
-    weights = [1.0 if eps.weight is None else eps.weight(y) ** th for y in witnesses]
     K_observed, entries, unbudgeted = bound_table(
         spec.space, np.subtract(phi_rows, psi_rows), witnesses, th,
-        [[star.value * w for w in weights] for star in stars], sample_xs)
+        [[star.value] * len(witnesses) for star in stars], sample_xs)
 
     return FixedPointReport(
         converged=converged,

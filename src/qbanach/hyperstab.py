@@ -46,9 +46,8 @@ import numpy as np
 from .envelope import theta
 from .fixedpoint import (Branch, IterationSpec, _apply_terms, _converge, _multinomial_terms,
                          _term_iterates, bound_table)
-from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction,
-                      admissibility, make_solution, real_root,
-                      residual_rows, sample_admissible_pairs)
+from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction, _sup,
+                      admissibility, make_solution, real_root, residual_check, residual_rows)
 from .spaces import SpaceDescriptor, _as_vector, _norm_table, space_from_dict
 
 __all__ = [
@@ -366,29 +365,29 @@ class QmResult:
     m: int
     grid: list
     values: list              # Q_m on the grid (list of vectors)
-    f0_values: Optional[list]
     iterations: int
     converged: bool
-    sup_residual_scaled: float
-    residual_pairs: int
+    residuals: dict           # residual_check's record of Q_m
     Qm: VectorFunction = None
 
+    @property
+    def sup_residual_scaled(self) -> float:
+        return self.residuals["sup_residual_scaled"]
+
+    @property
+    def residual_pairs(self) -> int:
+        return self.residuals["residual_pairs"]
+
     def to_dict(self) -> dict:
-        return {
-            "values": self.values,
-            "f0_values": self.f0_values, "iterations": self.iterations,
-            "converged": self.converged,
-            "sup_residual_scaled": self.sup_residual_scaled,
-            "residual_pairs": self.residual_pairs,
-        }
+        return {"values": self.values, "iterations": self.iterations,
+                "converged": self.converged, **self.residuals}
 
 
 def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[float],
                tol: float = 1e-10, n_max: int = 60,
                space: Optional[SpaceDescriptor] = None,
                witnesses: Optional[Sequence] = None,
-               residual_pairs: int = 1000, seed: int = 0,
-               f0: Optional[VectorFunction] = None) -> QmResult:
+               residual_pairs: int = 1000, seed: int = 0) -> QmResult:
     """Iterate T_m on a term-family function until the grid sup-step is small.
 
     Q_m comes from ``fixedpoint``'s term path on ``radical_iteration_spec``
@@ -396,9 +395,9 @@ def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[flo
     cancellation).  Convergence needs three consecutive sup-steps below
     ``tol`` in the space norm over the witnesses, or in the largest absolute
     component when ``space`` is None; an overflowing iterate raises
-    ``ValueError`` naming the step.  The scaled residual of Q_m is taken over
-    admissible pairs from ``sample_admissible_pairs``, which gives up after
-    ``DRAWS_PER_PAIR`` draws per requested pair.
+    ``ValueError`` naming the step.  Q_m's residuals are measured by
+    ``residual_check`` on ``residual_pairs`` pairs drawn over the grid's range
+    of |x|, which gives up after ``DRAWS_PER_PAIR`` draws per requested pair.
     """
     grid = [float(g) for g in grid]
     if not grid or any(g == 0.0 for g in grid):
@@ -411,24 +410,10 @@ def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[flo
     Qm, qvals, iterations, converged = _converge(
         _term_iterates(radical_iteration_spec(eq, m, space), f, grid), f,
         [f(x) for x in grid], space, witnesses, tol, n_max)
-
-    draws = sample_admissible_pairs(eq, min(map(abs, grid)), max(map(abs, grid)),
-                                    residual_pairs, np.random.default_rng(seed))
-    pairs = [(x, y) for x, y, ok in draws if ok]
-    res, scale = residual_rows(eq, Qm, [x for x, _ in pairs], [y for _, y in pairs], scale=True)
-    sup_res = _sup(np.abs(res).max(axis=1) / np.maximum(scale, 1e-300))
-
-    f0_vals = None if f0 is None else [f0(x).tolist() for x in grid]
-    return QmResult(
-        m=m, grid=grid, values=[v.tolist() for v in qvals], f0_values=f0_vals,
-        iterations=iterations, converged=converged,
-        sup_residual_scaled=sup_res, residual_pairs=len(pairs), Qm=Qm,
-    )
-
-
-def _sup(values) -> float:
-    """``max(0.0, v1, v2, ...)``, folded as a loop of Python ``max`` calls."""
-    return max([0.0, *np.asarray(values, dtype=float).ravel().tolist()])
+    residuals, _, _ = residual_check(eq, Qm, min(map(abs, grid)), max(map(abs, grid)),
+                                     residual_pairs, np.random.default_rng(seed))
+    return QmResult(m=m, grid=grid, values=[v.tolist() for v in qvals], iterations=iterations,
+                    converged=converged, residuals=residuals, Qm=Qm)
 
 
 def theorem_bound_rows(model: ErrorModel, consts: HyperstabConstants, theta_exp: float,
@@ -525,6 +510,7 @@ class HyperstabReport:
     warnings: list
     config: dict
     unbudgeted: dict = field(default_factory=dict)  # m -> bound_table's, not in the body
+    f0_values: list = field(default_factory=list)  # f0 on the grid, not in the body
 
     def to_dict(self) -> dict:
         return {
@@ -544,8 +530,8 @@ def _consistency_scan(eq: EquationParams, f, model: ErrorModel, grid, witnesses,
 
     A perturbed input's residual contains negative powers of ``a x^n - b y^n``
     and escapes every bounded majorant near the diagonal; the flag records
-    whether that actually happened for the supplied f.
-    """
+    whether that actually happened for the supplied f.  A nonzero residual
+    over gamma = 0 is the ratio inf, written as None (JSON null)."""
     ra, rb = eq.root_a, eq.root_b
     n = eq.root_n
     pairs = [(x, y) for x in grid[:4] for delta in (3e-6, 1e-5, 1e-4, 1e-3)
@@ -554,8 +540,10 @@ def _consistency_scan(eq: EquationParams, f, model: ErrorModel, grid, witnesses,
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     gam = model.gamma_rows([x ** n for x in xs], [y ** n for y in ys], witnesses).ravel().tolist()
     nrm = _norm_table(space, residual_rows(eq, f, xs, ys), witnesses).ravel().tolist()
-    max_ratio = _sup([v / g for v, g in zip(nrm, gam) if math.isfinite(g) and g != 0.0])
-    return {"max_residual_gamma_ratio": max_ratio, "exceeds_gamma": max_ratio > 1.0}
+    max_ratio = _sup([v / g if g else math.inf for v, g in zip(nrm, gam)
+                      if v and not math.isnan(g)])
+    return {"max_residual_gamma_ratio": max_ratio if max_ratio < math.inf else None,
+            "exceeds_gamma": max_ratio > 1.0}
 
 
 def _solution_f0(eq: EquationParams, sol: dict):
@@ -609,20 +597,21 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
 
     consts_by_m = {c.m: c for c in m0.all_constants}
     unbudgeted = {}
+    grid = config.grid
+    fv, f0v = f.rows(grid), f0.rows(grid)
+    # relative to f0 where it is nontrivial, else to the input values
+    denom = np.maximum(np.maximum(np.abs(f0v).max(axis=1), 1e-12 * np.abs(fv).max(axis=1)),
+                       1e-300)
 
     def process(m: int) -> dict:
         cst = consts_by_m[m]
         try:
-            qm = compute_Qm(eq, f, m, config.grid, tol=config.qm_tol, n_max=config.qm_n_max,
+            qm = compute_Qm(eq, f, m, grid, tol=config.qm_tol, n_max=config.qm_n_max,
                             space=space, witnesses=witnesses,
-                            residual_pairs=config.residual_pairs, seed=config.seed + m, f0=f0)
+                            residual_pairs=config.residual_pairs, seed=config.seed + m)
         except ValueError as exc:
             raise ValueError(f"Q_m for m = {m}: {exc}") from exc
-        grid = config.grid
-        qv, fv, f0v = qm.Qm.rows(grid), f.rows(grid), f0.rows(grid)
-        # relative to f0 where it is nontrivial, else to the input values
-        denom = np.maximum(np.maximum(np.abs(f0v).max(axis=1), 1e-12 * np.abs(fv).max(axis=1)),
-                           1e-300)
+        qv = np.array(qm.values)
         sup_dev_rel = _sup(np.abs(qv - f0v).max(axis=1) / denom)
         sup_f_qm = _sup(np.abs(fv - qv).max(axis=1))
         K_obs, entries, unbudgeted[m] = bound_table(
@@ -643,5 +632,5 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
     return HyperstabReport(
         feasible=True, m0=m0, theta=th, per_m=per_m,
         consistency=consistency, warnings=warnings, config=config.to_dict(),
-        unbudgeted=unbudgeted,
+        unbudgeted=unbudgeted, f0_values=f0v.tolist(),
     )

@@ -37,6 +37,7 @@ __all__ = [
     "check_structure",
     "StructureReport",
     "sample_admissible_pairs",
+    "residual_check",
 ]
 
 EXCLUSION_BAND = 1e-6  # relative half-width of the excluded diagonal
@@ -368,3 +369,24 @@ def sample_admissible_pairs(eq: EquationParams, lo: float, hi: float, n: int,
             found += ok
             if found == n:
                 return
+
+
+def _sup(values) -> float:
+    """``max(0.0, v1, v2, ...)``, folded as a loop of Python ``max`` calls."""
+    return max([0.0, *np.asarray(values, dtype=float).ravel().tolist()])
+
+
+def residual_check(eq: EquationParams, f: VectorFunction, lo: float, hi: float, n: int,
+                   rng: np.random.Generator):
+    """f's residuals on ``sample_admissible_pairs``' pairs, each over the terms
+    that cancel (``residual_rows``' scale), so f and c f read alike.  Returns
+    the body record, whose ``worst_pair`` is the first pair at the sup (None
+    without one), every ``(x, y, admissible)`` draw and the residual rows."""
+    draws = list(sample_admissible_pairs(eq, lo, hi, n, rng))
+    pairs = [(x, y) for x, y, ok in draws if ok]
+    res, scale = residual_rows(eq, f, [x for x, _ in pairs], [y for _, y in pairs], scale=True)
+    scaled = np.abs(res).max(axis=1) / np.maximum(scale, 1e-300)
+    record = {"sup_residual_scaled": _sup(scaled), "residual_pairs": len(pairs),
+              "drawn_pairs": len(draws),
+              "worst_pair": dict(zip("xy", pairs[int(np.argmax(scaled))])) if pairs else None}
+    return record, draws, res

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from qbanach import cli
 from qbanach.cli import (COMMANDS, VIOLATIONS, ConfigError, RunConfig, _pair_shortfall,
                          emit_csv, json_schema, main, parse_config, run, serialize_config)
 from qbanach.radical import EquationParams, sample_admissible_pairs
@@ -220,6 +221,10 @@ def test_hyperstab_without_error_budget_exits_2_with_null_K(tmp_path):
     every = [{"x": x, "witness": w} for x in payload["grid"] for w in range(3)]
     assert doc["violations"] == [{"name": "no error budget", "where": f"m={m}", "entries": every}
                                  for m in (2, 3, 5)]
+    # every nonzero residual of the scan exceeds gamma = 0: the ratio is inf,
+    # written as null
+    assert doc["report"]["consistency"] == {"exceeds_gamma": True,
+                                            "max_residual_gamma_ratio": None}
 
 
 _ONE_BRANCH_FIXED_POINT = {
@@ -544,3 +549,69 @@ def test_empty_witness_list_is_rejected_with_its_path(command, tmp_path, capsys)
     assert code == 1
     assert "payload.witnesses: at least 1 item(s) required" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("theta", [1e-8, 1.0, 1e6, 1e10])
+def test_solve_exact_solution_passes_at_every_theta(theta, tmp_path):
+    # the residual is measured against the terms that cancel, so theta x^6
+    # reads the same rounding at every theta; over max(|x|, |y|)^6 it read
+    # 4.2e-9 at theta = 1e6 and exited 2
+    cfg = parse_config(make_config(
+        "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}, "theta_coef": theta},
+        seed=3))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    report = json.loads((tmp_path / "solve_report.json").read_text())["report"]
+    assert report["residual_pairs"] == 1000
+    assert 0.0 < report["sup_residual_scaled"] <= 1e-14
+
+
+def test_solve_and_hyperstab_report_one_residual_record(tmp_path):
+    # both bodies carry residual_check's record: the same four keys, and a
+    # worst pair that is an admissible draw of the run's own sampler (both
+    # grids span |x| in [0.5, 2])
+    eq = {"a": 0.6, "b": 0.8, "c": 0.72, "d": 1.28}
+    cfg = parse_config(make_config("SOLVE", {"equation": eq, "residual_pairs": 200}, seed=4))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    solve = json.loads((tmp_path / "solve_report.json").read_text())["report"]
+    cfg = parse_config(make_config("HYPERSTAB", REFERENCE_HYPERSTAB_PAYLOAD, seed=7))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    per_m = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]["per_m"]
+    assert [rec["m"] for rec in per_m] == [2, 3, 5]
+    checks = [(solve, eq, 200, 4)] + [
+        (rec["qm"], REFERENCE_HYPERSTAB_PAYLOAD["equation"], 400, 7 + rec["m"]) for rec in per_m]
+    for record, equation, wanted, seed in checks:
+        assert {"sup_residual_scaled", "residual_pairs", "drawn_pairs", "worst_pair"} <= set(record)
+        draws = list(sample_admissible_pairs(EquationParams.from_dict(equation), 0.5, 2.0,
+                                             wanted, np.random.default_rng(seed)))
+        assert record["drawn_pairs"] == len(draws)
+        assert record["residual_pairs"] == sum(ok for _, _, ok in draws) == wanted
+        assert (record["worst_pair"]["x"], record["worst_pair"]["y"], True) in draws
+        assert record["sup_residual_scaled"] <= 1e-11
+
+
+def test_hyperstab_alpha_defaults_to_the_aux_beta(tmp_path):
+    # with no alpha the model takes the auxiliary space's beta (here the
+    # space's own, 0.5); a schema default of 1.0 used to refuse this run
+    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
+    payload["space"] = {"family": "POWERED", "beta": 0.5, "base": {"family": "CROSS_2NORM"}}
+    del payload["error_model"]["alpha"]
+    cfg = parse_config(make_config("HYPERSTAB", payload, seed=7))
+    assert "alpha" not in cfg.payload["error_model"]
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    report = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]
+    assert report["config"]["error_model"]["alpha"] == 0.5
+    assert [rec["m"] for rec in report["per_m"]] == [2, 3, 5]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_a_non_finite_report_number_exits_1_without_a_report(value, tmp_path, capsys,
+                                                            monkeypatch):
+    # inf and NaN are not JSON tokens: the run names its command and writes nothing
+    monkeypatch.setitem(cli._RUNNERS, "SOLVE", lambda payload, seed: ({"x": value}, [], {}))
+    cfg = parse_config(make_config("SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0,
+                                                          "d": 2.0}}))
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solve: non-finite number in the report")
+    assert "Traceback" not in err
+    assert not (tmp_path / "solve_report.json").exists()

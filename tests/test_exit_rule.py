@@ -13,6 +13,7 @@ import pytest
 
 from qbanach import cli
 from qbanach.cli import VIOLATIONS, _violation, parse_config, run
+from qbanach.radical import Term, VectorFunction
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 with open(os.path.join(os.path.dirname(_HERE), "docs", "reference_hyperstab.json")) as _fh:
@@ -62,6 +63,16 @@ def _broken_certificates(monkeypatch):
     return _envelope(CROSS)
 
 
+def _non_solution(monkeypatch):
+    """No config reaches a residual over tol: solve checks the exact solution
+    it builds itself, and its residual is rounding, ~1e-15 of the terms that
+    cancel, whatever theta is.  So this fixture monkeypatches the solution to
+    x^2 e1, which solves no radical equation."""
+    monkeypatch.setattr(cli, "make_solution", lambda *args: VectorFunction(
+        terms=[Term(coef=1.0, exponent=2.0, direction=[1.0, 0.0, 0.0])]))
+    return _solve()
+
+
 # name -> (command, payload), or a function of pytest's monkeypatch returning one
 DRIVE_TO_FAIL = {
     "axiom violated": ("CHECK_SPACE", {"space": LP_UNDERDECLARED, "trials": 3000}),
@@ -79,8 +90,7 @@ DRIVE_TO_FAIL = {
     "no exact solution": _solve((1.0, 1.0, 3.0, 2.0)),  # a^2 != c/2
     # decimal coefficients leave scaling-law deviations of ~1e-14
     "structure law over tol": _solve((0.6, 0.8, 0.72, 1.28), tol=1e-15),
-    # theta 1e10 lifts the rounding of the residual above 1e-9 of the scale
-    "residual over tol": _solve(theta_coef=1e10),
+    "residual over tol": _non_solution,
     # |x| = |y| = 1 and a = b: every pair lies on the excluded diagonal
     "no admissible pairs": _solve(grid=[1.0]),
     # |x|, |y| in [1, 1 + 1.2e-6]: ~3 % of the draws clear the 1e-6 band

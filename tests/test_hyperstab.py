@@ -262,7 +262,7 @@ def test_compute_Qm_contracts_perturbation():
     f0 = make_solution(eq, 1.0, None, E1)
     f = VectorFunction(terms=list(f0.terms) + [Term(coef=0.1, exponent=-3.0, mode="ABS", direction=E1)])
     res = compute_Qm(eq, f, 2, [0.5, 1.0, 1.5, 2.0], tol=1e-12, n_max=60,
-                     space=cross_2norm(), witnesses=WITNESSES, residual_pairs=500, seed=3, f0=f0)
+                     space=cross_2norm(), witnesses=WITNESSES, residual_pairs=500, seed=3)
     assert res.converged and res.iterations <= 60
     for x, val in zip(res.grid, res.values):
         assert np.abs(np.array(val) - f0(x)).max() <= 1e-6 * abs(x) ** 6
@@ -407,7 +407,7 @@ def test_quintic_root_machinery():
                        + [Term(coef=0.1, exponent=-3.0, mode="ABS", direction=E1)])
     res = compute_Qm(eq, f, 2, [0.5, 1.0, 2.0], tol=1e-12, n_max=60,
                      space=cross_2norm(), witnesses=WITNESSES,
-                     residual_pairs=300, seed=5, f0=f0)
+                     residual_pairs=300, seed=5)
     assert res.converged
     for x, val in zip(res.grid, res.values):
         assert np.abs(np.array(val) - f0(x)).max() <= 1e-6 * max(abs(x) ** 10, 1.0)
@@ -463,7 +463,7 @@ def test_randomized_recovery_sweep():
         mults = [_term_multiplier(spec, t.exponent, t.mode == "SIGNED") for t in f.terms]
         assert mults[0] == pytest.approx(1.0, abs=1e-12)  # exact-solution eigenvalue
         res = compute_Qm(eq, f, m, [0.5, 1.0, 2.0], tol=1e-10, n_max=200,
-                         residual_pairs=100, seed=int(rng.integers(1e6)), f0=f0)
+                         residual_pairs=100, seed=int(rng.integers(1e6)))
         if abs(mults[1]) < 0.95:
             assert res.converged, (a, b, m, exponent, mults)
             for x, val in zip(res.grid, res.values):

@@ -131,7 +131,10 @@ def check_bound_table(K_observed, entries, named):
     alone: every entry with a finite positive ``rhs_unit_K`` holds at
     ``K_observed`` (relative slack 1e-9), ``K_observed`` is the largest such
     ratio (0.0 without one), and every entry without a budget is among
-    ``named`` ({"x", "witness"} records), with ``K_observed`` None."""
+    ``named`` ({"x", "witness"} records), with ``K_observed`` None.  A null
+    ``rhs_unit_K`` is an inf right side, which bounds nothing."""
+    entries = [{**e, "rhs_unit_K": math.inf if e["rhs_unit_K"] is None else e["rhs_unit_K"]}
+               for e in entries]
     ratios = [e["lhs_pow_theta"] / e["rhs_unit_K"] for e in entries
               if 0 < e["rhs_unit_K"] < math.inf]
     unbudgeted = [{"x": e["x"], "witness": e["witness"]} for e in entries
