@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,8 @@ from .envelope import check_p_triangle, envelope_norm_rows
 from .fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate, load_sample_grid
 # admissibility is not called here but stays bound: bench/tracer.py wraps it
 # in every namespace, cli's included, and its test checks that binding
-from .radical import (DRAWS_PER_PAIR, EquationParams, NoExactSolutionError,  # noqa: F401
-                      VectorFunction, admissibility, check_structure, make_solution,
-                      residual_check)
+from .radical import (EquationParams, NoExactSolutionError, VectorFunction,  # noqa: F401
+                      admissibility, check_structure, make_solution, residual_check)
 from .spaces import check_axioms, estimate_kappa, eval_norm_rows, space_from_dict
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config",
@@ -230,7 +229,8 @@ SCHEMAS = {
             },
         },
         "required": ["space", "equation", "error_model", "grid"],
-        "defaults": {"m_values": [2, 3, 5], "m_max": 12},
+        "defaults": {"m_values": [2, 3, 5], "m_max": 12,
+                     "witnesses": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]},
     },
 }
 
@@ -251,8 +251,9 @@ _TOP = {
 def _validate(node: dict, value, path: str, enclosing=None):
     """Recursive schema check; returns the value with defaults filled in.
 
-    ``self`` nodes re-validate against the nearest enclosing object schema
-    (used for the recursive base-space field).
+    An absent object field with no required keys is filled from its own
+    defaults.  ``self`` nodes re-validate against the nearest enclosing
+    object schema (used for the recursive base-space field).
     """
     kind = node["type"]
     if kind == "self":
@@ -275,6 +276,8 @@ def _validate(node: dict, value, path: str, enclosing=None):
                 out[key] = _validate(sub, value[key], f"{path}.{key}", node)
             elif key in node.get("defaults", {}):
                 out[key] = node["defaults"][key]
+            elif sub["type"] == "object" and not sub.get("required"):
+                out[key] = _validate(sub, {}, f"{path}.{key}", node)
         return out
     if kind == "array":
         if not isinstance(value, list):
@@ -380,7 +383,6 @@ class RunConfig:
     seed: int = 0
     output: str | None = None
     format: str = "json"
-    warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         d = {"command": self.command, "seed": self.seed, "format": self.format,
@@ -409,18 +411,8 @@ def parse_config(text, command: str | None = None) -> RunConfig:
         raise ConfigError(
             f"config.command: {top['command']} does not match CLI command {command}")
     payload = _validate(SCHEMAS[top["command"]], top["payload"], "payload")
-
-    warnings = []
-    if top["command"] == "HYPERSTAB":
-        # the run's own decision; other invalid parameters are left to the run
-        try:
-            _, warnings = hs._solution_f0(EquationParams.from_dict(payload["equation"]),
-                                          payload.get("solution", {}))
-        except ValueError:
-            pass
-
     return RunConfig(command=top["command"], payload=payload, seed=top["seed"],
-                     output=top.get("output"), format=top["format"], warnings=warnings)
+                     output=top.get("output"), format=top["format"])
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -447,13 +439,15 @@ def _violation(name: str, where=None, **detail) -> dict:
     return {"name": name, "where": where, **detail}
 
 
-def _pair_shortfall(requested: int, admissible: int, where=None) -> list:
-    """``[]``, or the record of a residual check that drew too few admissible pairs."""
+def _pair_shortfall(requested: int, residuals: dict, where=None) -> list:
+    """``[]``, or the record of a residual check (``residual_check``'s record)
+    that drew too few admissible pairs."""
+    admissible = residuals["residual_pairs"]
     if admissible >= requested:
         return []
     return [_violation("no admissible pairs" if admissible == 0 else "too few admissible pairs",
                        where, requested_pairs=requested, admissible_pairs=admissible,
-                       rejected_pairs=DRAWS_PER_PAIR * requested - admissible)]
+                       rejected_pairs=residuals["drawn_pairs"] - admissible)]
 
 
 def _no_budget(unbudgeted: list, where=None) -> list:
@@ -542,7 +536,7 @@ def _run_solve(payload, seed):
         return ({"equation": eq.to_dict()},
                 [_violation("no exact solution", failed_constraints=exc.failed)], {})
     tol = payload["tol"]
-    structure = check_structure(eq, f, payload["grid"], tol)
+    structure = check_structure(eq, f, payload["grid"])
     wanted = payload["residual_pairs"]
     lo, hi = min(map(abs, payload["grid"])), max(map(abs, payload["grid"]))
     residuals, draws, res = residual_check(eq, f, lo, hi, wanted, np.random.default_rng(seed))
@@ -560,14 +554,26 @@ def _run_solve(payload, seed):
     if residuals["sup_residual_scaled"] > _RESIDUAL_TOL:
         violations.append(_violation("residual over tol", tol=_RESIDUAL_TOL,
                                      sup_residual_scaled=residuals["sup_residual_scaled"]))
-    return body, violations + _pair_shortfall(wanted, residuals["residual_pairs"]), tables
+    return body, violations + _pair_shortfall(wanted, residuals), tables
+
+
+def _experiment_config(payload, seed) -> hs.ExperimentConfig:
+    """The experiment of a validated ``hyperstab`` payload; the majorant's
+    auxiliary space is the space itself unless the payload names one."""
+    space = space_from_dict(payload["space"])
+    aux = space_from_dict(payload["aux_space"]) if "aux_space" in payload else space
+    tol = payload["tolerances"]
+    return hs.ExperimentConfig(
+        space=space, equation=EquationParams.from_dict(payload["equation"]),
+        model=hs.ErrorModel.from_dict(payload["error_model"], default_aux=aux),
+        solution=payload["solution"], perturbation=payload["perturbation"],
+        grid=payload["grid"], m_values=payload["m_values"], m_max=payload["m_max"],
+        witnesses=payload["witnesses"], qm_tol=tol["qm_tol"], qm_n_max=tol["qm_n_max"],
+        residual_pairs=tol["residual_pairs"], seed=seed)
 
 
 def _run_hyperstab(payload, seed):
-    d = dict(payload)
-    d.setdefault("aux_space", d["space"])
-    d["seed"] = seed
-    cfg = hs.ExperimentConfig.from_dict(d)
+    cfg = _experiment_config(payload, seed)
     report = hs.run_experiment(cfg)
     if not report.feasible:
         return report.to_dict(), [_violation("empty M0", m_max=cfg.m_max)], {}
@@ -581,7 +587,7 @@ def _run_hyperstab(payload, seed):
         if not qm["converged"]:
             violations.append(_violation("Q_m not converged", where, iterations=qm["iterations"]))
         violations += _no_budget(report.unbudgeted[rec["m"]], where)
-        violations += _pair_shortfall(cfg.residual_pairs, qm["residual_pairs"], where)
+        violations += _pair_shortfall(cfg.residual_pairs, qm, where)
         # Q_m and f0 on the grid, with their largest componentwise gap
         dim = len(qm["values"][0])
         header = (["x"] + [f"Qm_{i}" for i in range(dim)]
@@ -658,10 +664,11 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    for w in body.get("warnings", []):
+        print(f"warning: {w}", file=sys.stderr)
     document = {
         "command": config.command,
         "seed": config.seed,
-        "warnings": config.warnings,
         "violations": violations,
         "report": body,
         "metadata": {
@@ -712,8 +719,6 @@ def main(argv=None) -> int:
         config.seed = args.seed
     if args.format is not None:
         config.format = args.format
-    for w in config.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     code = run(config, out_dir=args.out)
     print(f"{config.command}: exit {code}")
     return code

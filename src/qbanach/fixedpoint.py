@@ -256,16 +256,17 @@ def bound_table(space: SpaceDescriptor, diffs, witnesses, theta_exp: float, rhs_
     ``xs`` and witnesses y_j: ``(K_observed, entries, unbudgeted)``, the
     entries ``{"x", "witness", "lhs_pow_theta", "rhs_unit_K"}`` sample-major,
     with the left sides from one ``_norm_table`` call (a scalar pow each).
-    An inf right side bounds nothing and reads None (JSON null).  A right side
-    not > 0 under a left side above 1e-12 has no budget: such entries are
-    listed as ``{"x", "witness"}`` and ``K_observed`` is None.  Otherwise it
-    is the largest lhs / rhs over finite positive right sides, 0.0 without one.
+    A non-finite right side (inf or NaN) bounds nothing and reads None (JSON
+    null).  A right side not > 0 (NaN included) under a left side above 1e-12
+    has no budget: such entries are listed as ``{"x", "witness"}`` and
+    ``K_observed`` is None.  Otherwise it is the largest lhs / rhs over finite
+    positive right sides, 0.0 without one.
     """
     lhs = [v ** theta_exp for v in _norm_table(space, diffs, witnesses).ravel().tolist()]
     rhs = np.asarray(rhs_unit, dtype=float).ravel().tolist()
     cells = [(float(x), j) for x in xs for j in range(len(witnesses))]
     entries = [{"x": x, "witness": j, "lhs_pow_theta": d,
-                "rhs_unit_K": None if r == math.inf else r}
+                "rhs_unit_K": r if math.isfinite(r) else None}
                for (x, j), d, r in zip(cells, lhs, rhs)]
     unbudgeted = [{"x": x, "witness": j} for (x, j), d, r in zip(cells, lhs, rhs)
                   if not r > 0 and d > 1e-12]
@@ -291,26 +292,23 @@ def _term_multiplier(spec: IterationSpec, exponent: float, signed: bool) -> floa
     return total
 
 
-def _sup_step(space: Optional[SpaceDescriptor], witnesses, old_rows, new_rows,
-              where: str) -> float:
+def _sup_step(space: SpaceDescriptor, witnesses, old_rows, new_rows, where: str) -> float:
     """Sup over rows and witnesses of ``|new - old, y|`` from one norm call
-    over the rows x witnesses block, or the largest absolute component when
-    ``space`` is None.  A non-finite difference (a diverged iteration) raises
-    ``ValueError`` naming ``where``, and so does a space without witnesses
-    (every step would read 0, so any iteration would look converged)."""
+    over the rows x witnesses block.  A non-finite difference (a diverged
+    iteration) raises ``ValueError`` naming ``where``, and so does an empty
+    witness list (every step would read 0, so any iteration would look
+    converged)."""
     delta = np.asarray(new_rows, dtype=float) - np.asarray(old_rows, dtype=float)
     if not np.all(np.isfinite(delta)):
         raise ValueError(f"{where}: non-finite iterate (the iteration diverges)")
-    if space is None:
-        return float(np.abs(delta).max(initial=0.0))
-    if witnesses is None or not len(witnesses):
+    if not len(witnesses):
         raise ValueError(f"{where}: no witnesses to measure the step in the space norm")
     if delta.size == 0:
         return 0.0
     return float(_norm_table(space, delta, witnesses).max())
 
 
-def _converge(iterates, state, rows, space: Optional[SpaceDescriptor], witnesses,
+def _converge(iterates, state, rows, space: SpaceDescriptor, witnesses,
               tol: float, n_max: int):
     """Advance ``iterates`` (a generator of ``(state, rows)``) until three
     consecutive sup-steps fall below ``tol``, or for ``n_max`` steps; returns

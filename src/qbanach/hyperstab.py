@@ -115,13 +115,12 @@ class ErrorModel:
     """Four-factor majorant ``gamma = h1 h2 + h3 + h4`` with power components.
 
     The auxiliary space carries the (2, alpha)-norm used inside the
-    components; ``alpha`` must equal its homogeneity exponent.  ``g_matrix``
+    components, so ``alpha`` is its homogeneity exponent beta.  ``g_matrix``
     maps codomain witnesses into the auxiliary space (identity when None).
     """
 
     components: tuple  # h1..h4
     aux_space: SpaceDescriptor
-    alpha: float = 1.0
     g_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -129,12 +128,12 @@ class ErrorModel:
         if len(comps) != 4:
             raise ValueError("exactly four components h1..h4 required")
         self.components = comps
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must lie in (0,1]")
-        if self.alpha != self.aux_space.beta:
-            raise ValueError("alpha must equal the auxiliary space's beta")
         if self.g_matrix is not None:
             self.g_matrix = np.asarray(self.g_matrix, dtype=float)
+
+    @property
+    def alpha(self) -> float:
+        return self.aux_space.beta
 
     @property
     def feasibility_flags(self) -> dict:
@@ -181,16 +180,20 @@ class ErrorModel:
 
     @staticmethod
     def from_dict(d: dict, default_aux: Optional[SpaceDescriptor] = None) -> "ErrorModel":
+        """The model of a config's ``error_model`` section; an ``alpha`` in it
+        must be the auxiliary space's beta, the only value it can take."""
         aux = space_from_dict(d["aux_space"]) if "aux_space" in d else default_aux
+        if "alpha" in d and d["alpha"] != aux.beta:
+            raise ValueError(f"error_model.alpha = {d['alpha']} must equal the auxiliary "
+                             f"space's beta = {aux.beta}")
         comps = [ErrorComponent(c=float(c["c"]), p=float(c["p"]), y=c["y"])
                  for c in d["components"]]
-        g = d.get("g_map", "IDENTITY")
+        g = d["g_map"]
         matrix = None if g == "IDENTITY" else np.asarray(g["matrix"], dtype=float)
-        return ErrorModel(components=tuple(comps), aux_space=aux,
-                          alpha=float(d.get("alpha", aux.beta)), g_matrix=matrix)
+        return ErrorModel(components=tuple(comps), aux_space=aux, g_matrix=matrix)
 
 
-def s_multiplier(component: ErrorComponent, rho: float, alpha: float = 1.0) -> float:
+def s_multiplier(component: ErrorComponent, rho: float, alpha: float) -> float:
     """Scaling multiplier of a power component: ``|rho|^(alpha p)``."""
     if rho == 0.0:
         raise ValueError("rho must be nonzero")
@@ -368,7 +371,6 @@ class QmResult:
     iterations: int
     converged: bool
     residuals: dict           # residual_check's record of Q_m
-    Qm: VectorFunction = None
 
     @property
     def sup_residual_scaled(self) -> float:
@@ -383,37 +385,30 @@ class QmResult:
                 "converged": self.converged, **self.residuals}
 
 
-def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[float],
-               tol: float = 1e-10, n_max: int = 60,
-               space: Optional[SpaceDescriptor] = None,
-               witnesses: Optional[Sequence] = None,
-               residual_pairs: int = 1000, seed: int = 0) -> QmResult:
+def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[float], *,
+               tol: float, n_max: int, space: SpaceDescriptor, witnesses: Sequence,
+               residual_pairs: int, seed: int) -> QmResult:
     """Iterate T_m on a term-family function until the grid sup-step is small.
 
     Q_m comes from ``fixedpoint``'s term path on ``radical_iteration_spec``
     (signed-power terms are eigenvectors of T_m, so no expansion-table
     cancellation).  Convergence needs three consecutive sup-steps below
-    ``tol`` in the space norm over the witnesses, or in the largest absolute
-    component when ``space`` is None; an overflowing iterate raises
-    ``ValueError`` naming the step.  Q_m's residuals are measured by
+    ``tol`` in the space norm over the witnesses; an overflowing iterate
+    raises ``ValueError`` naming the step.  Q_m's residuals are measured by
     ``residual_check`` on ``residual_pairs`` pairs drawn over the grid's range
     of |x|, which gives up after ``DRAWS_PER_PAIR`` draws per requested pair.
     """
     grid = [float(g) for g in grid]
     if not grid or any(g == 0.0 for g in grid):
         raise ValueError("grid must be nonempty and avoid 0")
-    if witnesses is not None:
-        witnesses = [_as_vector(wv, f.dim) for wv in witnesses]
-    elif space is not None:
-        raise ValueError("compute_Qm: a space needs witnesses to measure the sup-step "
-                         "(witnesses is None)")
+    witnesses = [_as_vector(wv, f.dim) for wv in witnesses]
     Qm, qvals, iterations, converged = _converge(
         _term_iterates(radical_iteration_spec(eq, m, space), f, grid), f,
         [f(x) for x in grid], space, witnesses, tol, n_max)
     residuals, _, _ = residual_check(eq, Qm, min(map(abs, grid)), max(map(abs, grid)),
                                      residual_pairs, np.random.default_rng(seed))
     return QmResult(m=m, grid=grid, values=[v.tolist() for v in qvals], iterations=iterations,
-                    converged=converged, residuals=residuals, Qm=Qm)
+                    converged=converged, residuals=residuals)
 
 
 def theorem_bound_rows(model: ErrorModel, consts: HyperstabConstants, theta_exp: float,
@@ -446,20 +441,16 @@ class ExperimentConfig:
     space: SpaceDescriptor
     equation: EquationParams
     model: ErrorModel
-    solution: dict              # theta_coef, w, direction
-    perturbation: dict          # eta, exponent, mode, direction
+    solution: dict              # theta_coef, direction, optional w
+    perturbation: dict          # eta, exponent, mode, optional direction
     grid: list
     m_values: list
-    m_max: int = 12
-    witnesses: list = None
-    qm_tol: float = 1e-10
-    qm_n_max: int = 60
-    residual_pairs: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.witnesses is None:
-            self.witnesses = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+    m_max: int
+    witnesses: list
+    qm_tol: float
+    qm_n_max: int
+    residual_pairs: int
+    seed: int
 
     def to_dict(self) -> dict:
         return {
@@ -476,28 +467,6 @@ class ExperimentConfig:
                            "residual_pairs": self.residual_pairs},
             "seed": self.seed,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        space = space_from_dict(d["space"])
-        aux = space_from_dict(d["aux_space"]) if "aux_space" in d else space
-        tol = d.get("tolerances", {})
-        return ExperimentConfig(
-            space=space,
-            equation=EquationParams.from_dict(d["equation"]),
-            model=ErrorModel.from_dict(d["error_model"], default_aux=aux),
-            solution=d.get("solution", {"theta_coef": 1.0, "w": None, "direction": [1.0, 0.0, 0.0]}),
-            perturbation=d.get("perturbation", {"eta": 0.0, "exponent": -3.0,
-                                                "mode": "ABS", "direction": [1.0, 0.0, 0.0]}),
-            grid=[float(g) for g in d["grid"]],
-            m_values=[int(m) for m in d.get("m_values", [2, 3, 5])],
-            m_max=int(d.get("m_max", 12)),
-            witnesses=d.get("witnesses"),
-            qm_tol=float(tol.get("qm_tol", 1e-10)),
-            qm_n_max=int(tol.get("qm_n_max", 60)),
-            residual_pairs=int(tol.get("residual_pairs", 1000)),
-            seed=int(d.get("seed", 0)),
-        )
 
 
 @dataclass
@@ -546,39 +515,28 @@ def _consistency_scan(eq: EquationParams, f, model: ErrorModel, grid, witnesses,
             "exceeds_gamma": max_ratio > 1.0}
 
 
-def _solution_f0(eq: EquationParams, sol: dict):
-    """f0 from a config's ``solution`` section and the run's warnings: f0 = 0
-    and one naming the failed constraints when no exact solution exists."""
-    direction = np.asarray(sol.get("direction", [1.0, 0.0, 0.0]), dtype=float)
-    try:
-        return make_solution(eq, float(sol.get("theta_coef", 1.0)), sol.get("w"), direction), []
-    except NoExactSolutionError as exc:
-        return (VectorFunction(terms=[], constant=np.zeros_like(direction)),
-                [f"no exact solution; experiment will use projection f0 = 0 ({exc})"])
-
-
 def run_experiment(config: ExperimentConfig) -> HyperstabReport:
     """Full hyperstability pipeline: feasible set, Q_m recovery, residual and
     deviation-bound verification (``bound_table`` of ``|f - Q_m, z|^theta``
     against ``theorem_bound_rows`` at K = 1), and the near-diagonal
     consistency probe."""
     warnings = []
-    eq = config.equation
+    eq, sol, pert = config.equation, config.solution, config.perturbation
     space = config.space
     witnesses = [np.asarray(wv, dtype=float) for wv in config.witnesses]
     th = theta(space.beta, space.kappa)
 
-    direction = np.asarray(config.solution.get("direction", [1.0, 0.0, 0.0]), dtype=float)
-    f0, no_solution = _solution_f0(eq, config.solution)
-    warnings += no_solution
-
-    pert = config.perturbation
-    eta = float(pert.get("eta", 0.0))
+    try:
+        f0 = make_solution(eq, sol["theta_coef"], sol.get("w"), sol["direction"])
+    except NoExactSolutionError as exc:
+        f0 = VectorFunction(terms=[], constant=np.zeros(len(sol["direction"])))
+        warnings.append(f"no exact solution; experiment will use projection f0 = 0 ({exc})")
+    # the perturbation points along the solution unless it names a direction
     f = VectorFunction(
-        terms=list(f0.terms) + ([Term(coef=eta, exponent=float(pert["exponent"]),
-                                      mode=pert.get("mode", "ABS"),
-                                      direction=np.asarray(pert.get("direction", direction), dtype=float))]
-                                if eta != 0.0 else []),
+        terms=list(f0.terms) + ([Term(coef=pert["eta"], exponent=pert["exponent"],
+                                      mode=pert["mode"],
+                                      direction=pert.get("direction", sol["direction"]))]
+                                if pert["eta"] != 0.0 else []),
         constant=f0.constant.copy(),
     )
 

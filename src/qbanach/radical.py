@@ -220,18 +220,12 @@ def _radical_args(eq: EquationParams, x: float, y: float):
     return real_root(axn + byn, n), real_root(axn - byn, n)
 
 
-def residual(eq: EquationParams, f: VectorFunction, x: float, y: float,
-             check_domain: bool = True) -> np.ndarray:
-    """Equation residual LHS - RHS at an admissible pair; error otherwise.
-
-    ``check_domain=False`` evaluates the raw formula anyway (the unrestricted
-    equation is defined on all of R; the exclusion band only matters for the
-    approximate/hyperstability setting).
-    """
-    if check_domain:
-        ok, reason = admissibility(eq, x, y)
-        if not ok:
-            raise InadmissiblePairError(reason)
+def residual(eq: EquationParams, f: VectorFunction, x: float, y: float) -> np.ndarray:
+    """Equation residual LHS - RHS at an admissible pair; error otherwise
+    (``residual_rows`` evaluates the raw formula at any pair)."""
+    ok, reason = admissibility(eq, x, y)
+    if not ok:
+        raise InadmissiblePairError(reason)
     return residual_rows(eq, f, [x], [y])[0]
 
 
@@ -300,7 +294,7 @@ class StructureReport:
         return {"deviations": self.deviations, "grid_size": self.grid_size}
 
 
-def check_structure(eq: EquationParams, f, grid: Sequence[float], tol: float = 1e-10) -> StructureReport:
+def check_structure(eq: EquationParams, f, grid: Sequence[float]) -> StructureReport:
     """Check evenness, the (c/2), (d/2), (cd/4) scaling laws and the power law
     on the grid; deviations are reported, never raised."""
     grid = [float(g) for g in grid]

@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
+from qbanach.cli import _experiment_config
 from qbanach.envelope import check_p_triangle, envelope_norm, theta
 from qbanach.fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate
-from qbanach.hyperstab import ExperimentConfig, expand_T_power, run_experiment, sequences
+from qbanach.hyperstab import expand_T_power, run_experiment, sequences
 from qbanach.radical import (EquationParams, Term, VectorFunction, check_structure,
                              make_solution, real_root)
 from qbanach.spaces import (check_axioms, cross_2norm, estimate_kappa, eval_norm,
@@ -150,9 +151,7 @@ def test_criterion_6_expansion_oracle():
 def _reference_experiment_config(seed=707):
     payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
     payload["tolerances"]["residual_pairs"] = 1000
-    payload["aux_space"] = payload["space"]
-    payload["seed"] = seed
-    return ExperimentConfig.from_dict(payload)
+    return _experiment_config(parse_config(make_config("HYPERSTAB", payload)).payload, seed)
 
 
 def test_criterion_7_hyperstability_recovery():

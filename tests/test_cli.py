@@ -11,6 +11,7 @@ from qbanach import cli
 from qbanach.cli import (COMMANDS, VIOLATIONS, ConfigError, RunConfig, _pair_shortfall,
                          emit_csv, json_schema, main, parse_config, run, serialize_config)
 from qbanach.radical import EquationParams, sample_admissible_pairs
+from test_report_golden import check_bound_table
 
 # the reference experiment shipped with the package
 _REFERENCE_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -52,13 +53,6 @@ def test_parse_rejects_command_mismatch_and_bad_json():
         parse_config(doc, command="SOLVE")
     with pytest.raises(ConfigError, match="not valid JSON"):
         parse_config(b"{nope")
-
-
-def test_parse_hyperstab_warns_without_exact_solution():
-    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
-    payload["equation"]["c"] = 3.0  # a^2 != c/2
-    cfg = parse_config(make_config("HYPERSTAB", payload))
-    assert any("projection f0 = 0" in w for w in cfg.warnings)
 
 
 def test_config_round_trip():
@@ -387,11 +381,14 @@ def test_readme_exit_table_names_every_violation():
 
 
 def test_pair_shortfall_names_the_vacuous_check():
-    assert _pair_shortfall(5, 5) == [] and _pair_shortfall(0, 0) == []
-    assert _pair_shortfall(7, 0) == [{
+    def record(admissible, drawn):
+        return {"residual_pairs": admissible, "drawn_pairs": drawn}
+
+    assert _pair_shortfall(5, record(5, 6)) == [] and _pair_shortfall(0, record(0, 0)) == []
+    assert _pair_shortfall(7, record(0, 70)) == [{
         "name": "no admissible pairs", "where": None, "requested_pairs": 7,
         "admissible_pairs": 0, "rejected_pairs": 70}]
-    (few,) = _pair_shortfall(7, 3, "m=2")
+    (few,) = _pair_shortfall(7, record(3, 70), "m=2")
     assert few["name"] == "too few admissible pairs" and few["rejected_pairs"] == 67
     assert few["where"] == "m=2"
 
@@ -497,16 +494,61 @@ def test_solve_grid_rows_are_the_sampler_draws_in_order(tmp_path):
     assert (worst["x"], worst["y"], True) in draws
 
 
-def test_parse_hyperstab_warnings_agree_with_the_run(tmp_path):
+def test_hyperstab_warnings_come_from_the_run(tmp_path, capsys):
     # w != 0 needs c + d = 2, which the reference equation (c = d = 2) fails;
-    # the config's warnings come from the run's own make_solution decision
+    # the run decides the warning, keeps it in the body and prints it to stderr
     payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
     payload["solution"]["w"] = [1.0, 0.0, 0.0]
-    cfg = parse_config(make_config("HYPERSTAB", payload))
-    assert any("c + d = 2" in w for w in cfg.warnings)
-    assert run(cfg, out_dir=str(tmp_path)) != 1
+    assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) != 1
     doc = json.loads((tmp_path / "hyperstab_report.json").read_text())
-    assert doc["warnings"] == doc["report"]["warnings"] == cfg.warnings
+    assert "warnings" not in doc
+    (warning,) = doc["report"]["warnings"]
+    assert "c + d = 2" in warning and "projection f0 = 0" in warning
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+
+
+def test_run_prints_skipped_indices_as_a_warning(tmp_path, capsys):
+    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
+    payload["m_values"] = [2, 13]  # M0 is 2..m_max = 12
+    assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) == 0
+    assert capsys.readouterr().err == "warning: requested m outside M0 skipped: [13]\n"
+
+
+def test_hyperstab_required_keys_only_take_the_schema_defaults(tmp_path):
+    payload = {key: REFERENCE_HYPERSTAB_PAYLOAD[key]
+               for key in ("space", "equation", "error_model", "grid")}
+    assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) == 0
+    config = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]["config"]
+    schema = json_schema("HYPERSTAB")
+    defaults = {**schema["default"], **{key: schema["properties"][key]["default"]
+                                        for key in ("solution", "perturbation", "tolerances")}}
+    assert sorted(defaults) == ["m_max", "m_values", "perturbation", "solution", "tolerances",
+                                "witnesses"]
+    assert {key: config[key] for key in defaults} == defaults
+
+
+def test_hyperstab_alpha_other_than_the_aux_beta_exits_1(tmp_path, capsys):
+    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
+    payload["error_model"]["alpha"] = 0.5  # the auxiliary space is CROSS_2NORM, beta 1.0
+    assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: error_model.alpha = 0.5 must equal")
+    assert not (tmp_path / "hyperstab_report.json").exists()
+
+
+def test_hyperstab_nan_bound_side_is_a_no_error_budget_violation(tmp_path):
+    # witness [1, 1, 0] is parallel to every y, so with p1 < 0 < p2 the majorant
+    # there is h1 h2 = inf * 0 = NaN: a right side that bounds nothing
+    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
+    payload["error_model"]["components"][1]["p"] = 0.5
+    payload["witnesses"] = [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+    assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) == 2
+    doc = json.loads((tmp_path / "hyperstab_report.json").read_text())
+    unbudgeted = {v["where"]: v["entries"] for v in doc["violations"]
+                  if v["name"] == "no error budget"}
+    assert {where: len(entries) for where, entries in unbudgeted.items()} == {"m=3": 6, "m=5": 6}
+    for rec in doc["report"]["per_m"]:
+        assert [e["rhs_unit_K"] for e in rec["bound_entries"] if e["witness"] == 1] == [None] * 6
+        check_bound_table(rec["K_observed"], rec["bound_entries"], unbudgeted[f"m={rec['m']}"])
 
 
 def test_hyperstab_diverging_Qm_names_the_index_without_numpy_warnings(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbanach.cli import _experiment_config, parse_config
 from qbanach.fixedpoint import _term_multiplier
 from qbanach.hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig,
                                HyperstabConstants, compute_Qm, constants,
@@ -13,7 +15,7 @@ from qbanach.hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig,
                                run_experiment, s_multiplier, scale_powers,
                                sequences, theorem_bound)
 from qbanach.radical import EquationParams, Term, VectorFunction, make_solution
-from qbanach.spaces import cross_2norm
+from qbanach.spaces import cross_2norm, power_space
 from test_report_golden import check_bound_table
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -25,7 +27,7 @@ def reference_model(c3=2.0e4, c4=2.0e4, p1=-1.0, p2=-1.0, p3=-2.0, p4=-2.0):
     return ErrorModel(
         components=(ErrorComponent(1.0, p1, Y_DIR), ErrorComponent(1.0, p2, Y_DIR),
                     ErrorComponent(c3, p3, Y_DIR), ErrorComponent(c4, p4, Y_DIR)),
-        aux_space=cross_2norm(), alpha=1.0,
+        aux_space=cross_2norm(),
     )
 
 
@@ -55,13 +57,22 @@ def test_sequences_rejects_small_m():
         sequences(1.0, 1.0, 1)
 
 
+def test_error_model_alpha_is_the_aux_beta():
+    # the majorant is measured in the auxiliary (2, alpha)-norm, so alpha is
+    # that space's beta
+    aux = power_space(cross_2norm(), 0.5)
+    model = ErrorModel(components=reference_model().components, aux_space=aux)
+    assert model.alpha == 0.5
+    assert model.to_dict()["alpha"] == 0.5 and ErrorModel.from_dict(model.to_dict()).alpha == 0.5
+
+
 def test_s_multiplier_closed_form():
     comp = ErrorComponent(1.0, -1.0, Y_DIR)
     assert s_multiplier(comp, 8.0, alpha=1.0) == pytest.approx(0.125)
     for p in (-2.0, -0.5, 0.7):
         assert s_multiplier(ErrorComponent(1.0, p, Y_DIR), 1.0, alpha=0.5) == 1.0
     with pytest.raises(ValueError):
-        s_multiplier(comp, 0.0)
+        s_multiplier(comp, 0.0, alpha=1.0)
 
 
 def test_constants_reference_value():
@@ -87,11 +98,10 @@ def test_constants_match_one_line_formulas():
         beta = float(rng.uniform(0.3, 1.0))
         alpha = beta
         ps = rng.uniform(-2.5, -0.2, 4)
-        from qbanach.spaces import power_space
         aux = power_space(cross_2norm(), beta) if beta != 1.0 else cross_2norm()
         model = ErrorModel(
             components=tuple(ErrorComponent(1.0, float(p), Y_DIR) for p in ps),
-            aux_space=aux, alpha=alpha,
+            aux_space=aux,
         )
         m = int(rng.integers(2, 9))
         eq = EquationParams(a, b, c, d)
@@ -273,7 +283,8 @@ def test_compute_Qm_divergent_multiplier_reported():
     eq = EquationParams(1, 1, 2, 2)
     # positive exponent 9: multiplier c u^3 + d v^3 - w^3 at cube level > 1
     f = VectorFunction(terms=[Term(coef=1.0, exponent=9.0, mode="ABS", direction=E1)])
-    res = compute_Qm(eq, f, 2, [1.0], tol=1e-10, n_max=15, residual_pairs=0)
+    res = compute_Qm(eq, f, 2, [1.0], tol=1e-10, n_max=15, space=cross_2norm(),
+                     witnesses=WITNESSES, residual_pairs=0, seed=0)
     assert not res.converged
 
 
@@ -283,17 +294,18 @@ def test_compute_Qm_overflow_raises_instead_of_converging():
     eq = EquationParams(1, 1, 2, 2)
     f = VectorFunction(terms=[Term(coef=1.0, exponent=9.0, mode="ABS", direction=E1)])
     with pytest.raises(ValueError, match=r"iteration step \d+: non-finite iterate"):
-        compute_Qm(eq, f, 2, [1.0], n_max=200, residual_pairs=0)
+        compute_Qm(eq, f, 2, [1.0], tol=1e-10, n_max=200, space=cross_2norm(),
+                   witnesses=WITNESSES, residual_pairs=0, seed=0)
     with pytest.raises(ValueError, match=r"iteration step \d+: non-finite iterate"):
-        compute_Qm(eq, f, 2, [1.0], n_max=200, residual_pairs=0,
-                   space=cross_2norm(), witnesses=[[0.0, 1.0, 0.0]])
+        compute_Qm(eq, f, 2, [1.0], tol=1e-10, n_max=200, space=cross_2norm(),
+                   witnesses=[[0.0, 1.0, 0.0]], residual_pairs=0, seed=0)
 
 
 def test_theorem_bound_values():
     model = ErrorModel(
         components=(ErrorComponent(0.0, -1.0, Y_DIR), ErrorComponent(0.0, -1.0, Y_DIR),
                     ErrorComponent(2.0, 0.0, Y_DIR), ErrorComponent(0.0, 0.0, Y_DIR)),
-        aux_space=cross_2norm(), alpha=1.0,
+        aux_space=cross_2norm(),
     )  # bracket = 2 everywhere
     cst = HyperstabConstants(m=2, u=2.0, v=-1.9, w=2.4, A=0.5, B=0.5, C=0.5,
                              P=0.5, sigma=0.5, in_M0=True)
@@ -324,7 +336,7 @@ def reference_config(eta=0.1, seed=7, m_values=(2, 3, 5)):
         solution={"theta_coef": 1.0, "w": None, "direction": [1.0, 0.0, 0.0]},
         perturbation={"eta": eta, "exponent": -3.0, "mode": "ABS", "direction": [1.0, 0.0, 0.0]},
         grid=[0.5, 0.75, 1.0, 1.25, 1.5, 2.0], m_values=list(m_values), m_max=12,
-        qm_tol=1e-12, qm_n_max=60, residual_pairs=400, seed=seed,
+        witnesses=WITNESSES, qm_tol=1e-12, qm_n_max=60, residual_pairs=400, seed=seed,
     )
 
 
@@ -425,7 +437,7 @@ def test_run_experiment_asymmetric_equation():
         solution={"theta_coef": 1.0, "w": None, "direction": [1.0, 0.0, 0.0]},
         perturbation={"eta": 0.1, "exponent": -3.0, "mode": "ABS",
                       "direction": [1.0, 0.0, 0.0]},
-        grid=[0.5, 1.0, 1.5, 2.0], m_values=[2, 3, 5], m_max=10,
+        grid=[0.5, 1.0, 1.5, 2.0], m_values=[2, 3, 5], m_max=10, witnesses=WITNESSES,
         qm_tol=1e-10, qm_n_max=60, residual_pairs=300, seed=13,
     )
     report = run_experiment(cfg)
@@ -463,6 +475,7 @@ def test_randomized_recovery_sweep():
         mults = [_term_multiplier(spec, t.exponent, t.mode == "SIGNED") for t in f.terms]
         assert mults[0] == pytest.approx(1.0, abs=1e-12)  # exact-solution eigenvalue
         res = compute_Qm(eq, f, m, [0.5, 1.0, 2.0], tol=1e-10, n_max=200,
+                         space=cross_2norm(), witnesses=WITNESSES,
                          residual_pairs=100, seed=int(rng.integers(1e6)))
         if abs(mults[1]) < 0.95:
             assert res.converged, (a, b, m, exponent, mults)
@@ -483,10 +496,16 @@ def test_experiment_config_wires_aux_space():
             {"c": 1.0, "p": -1.0, "y": [1.0, 1.0, 0.0]} for _ in range(4)]},
         "grid": [1.0, 2.0],
     }
-    cfg = ExperimentConfig.from_dict(d)
+    cfg = _experiment_config(parse_config(json.dumps({"command": "HYPERSTAB",
+                                                      "payload": d})).payload, 0)
     assert cfg.model.aux_space.family == "POWERED"
     assert cfg.model.alpha == 0.5
     assert cfg.space.family == "CROSS_2NORM"
+    # without aux_space the majorant is measured in the space itself
+    del d["aux_space"], d["error_model"]["alpha"]
+    cfg = _experiment_config(parse_config(json.dumps({"command": "HYPERSTAB",
+                                                      "payload": d})).payload, 0)
+    assert cfg.model.aux_space == cfg.space and cfg.model.alpha == 1.0
 
 
 def test_error_model_fixed_linear_g_map():
@@ -494,7 +513,7 @@ def test_error_model_fixed_linear_g_map():
     g = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     model = ErrorModel(
         components=tuple(ErrorComponent(1.0, -1.0, Y_DIR) for _ in range(4)),
-        aux_space=cross_2norm(), alpha=1.0, g_matrix=g,
+        aux_space=cross_2norm(), g_matrix=g,
     )
     z = np.array([0.3, -1.2, 2.0])
     ident = reference_model(c3=1.0, c4=1.0, p3=-1.0, p4=-1.0)
@@ -509,9 +528,7 @@ def test_error_model_validation_and_flags():
     model = reference_model()
     assert model.feasibility_flags == {"p1+p2<0": True, "p3<0": True, "p4<0": True}
     with pytest.raises(ValueError):
-        ErrorModel(components=model.components[:3], aux_space=cross_2norm(), alpha=1.0)
-    with pytest.raises(ValueError):
-        ErrorModel(components=model.components, aux_space=cross_2norm(), alpha=0.5)
+        ErrorModel(components=model.components[:3], aux_space=cross_2norm())
     d = model.to_dict()
     again = ErrorModel.from_dict(d)
     assert again.to_dict() == d
@@ -598,21 +615,14 @@ def test_table_apply_equals_callable_orbit_level_bit_for_bit():
                     assert table.apply(phi, x).tolist() == rep.psi_values[x], (a, b, m, n, x)
 
 
-def test_compute_Qm_space_without_witnesses_is_rejected():
-    eq = EquationParams(1, 1, 2, 2)
-    f0 = make_solution(eq, 1.0, None, E1)
-    with pytest.raises(ValueError, match="needs witnesses"):
-        compute_Qm(eq, f0, 2, [1.0], space=cross_2norm(), witnesses=None)
-
-
 def test_compute_Qm_without_witnesses_raises_instead_of_converging():
     # |x|^9 grows under T_2; with no witnesses every sup-step read 0 and the
     # run was reported converged after 3 iterations
     eq = EquationParams(1, 1, 2, 2)
     f = VectorFunction(terms=[Term(coef=1.0, exponent=9.0, mode="ABS", direction=E1)])
     with pytest.raises(ValueError, match="step 1: no witnesses"):
-        compute_Qm(eq, f, 2, [1.0], n_max=50, residual_pairs=0, space=cross_2norm(),
-                   witnesses=[])
-    qm = compute_Qm(eq, f, 2, [1.0], n_max=50, residual_pairs=0, space=cross_2norm(),
-                    witnesses=WITNESSES)
+        compute_Qm(eq, f, 2, [1.0], tol=1e-10, n_max=50, space=cross_2norm(), witnesses=[],
+                   residual_pairs=0, seed=0)
+    qm = compute_Qm(eq, f, 2, [1.0], tol=1e-10, n_max=50, space=cross_2norm(),
+                    witnesses=WITNESSES, residual_pairs=0, seed=0)
     assert not qm.converged

@@ -4,7 +4,7 @@ import pytest
 from qbanach.radical import (DRAWS_PER_PAIR, EquationParams, InadmissiblePairError,
                              NoExactSolutionError, Term, VectorFunction, admissibility,
                              check_structure, make_solution, real_root,
-                             residual, sample_admissible_pairs)
+                             residual, residual_rows, sample_admissible_pairs)
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -65,7 +65,7 @@ def test_residual_signed_cubic_example():
     f = VectorFunction(terms=[Term(coef=1.0, exponent=3.0, mode="SIGNED", direction=E1)])
     with pytest.raises(InadmissiblePairError):
         residual(eq, f, 1.0, 1.0)
-    val = residual(eq, f, 1.0, 1.0, check_domain=False)
+    val = residual_rows(eq, f, [1.0], [1.0])[0]
     assert np.allclose(val, -2.0 * E1, atol=1e-12)
 
 

@@ -132,9 +132,14 @@ def check_bound_table(K_observed, entries, named):
     ``K_observed`` (relative slack 1e-9), ``K_observed`` is the largest such
     ratio (0.0 without one), and every entry without a budget is among
     ``named`` ({"x", "witness"} records), with ``K_observed`` None.  A null
-    ``rhs_unit_K`` is an inf right side, which bounds nothing."""
-    entries = [{**e, "rhs_unit_K": math.inf if e["rhs_unit_K"] is None else e["rhs_unit_K"]}
-               for e in entries]
+    ``rhs_unit_K`` is an inf right side, which bounds nothing, or a NaN one,
+    which has no budget: it is read as NaN where ``named`` lists the entry."""
+    def rhs(e):
+        if e["rhs_unit_K"] is not None:
+            return e["rhs_unit_K"]
+        return math.nan if {"x": e["x"], "witness": e["witness"]} in named else math.inf
+
+    entries = [{**e, "rhs_unit_K": rhs(e)} for e in entries]
     ratios = [e["lhs_pow_theta"] / e["rhs_unit_K"] for e in entries
               if 0 < e["rhs_unit_K"] < math.inf]
     unbudgeted = [{"x": e["x"], "witness": e["witness"]} for e in entries

@@ -104,7 +104,7 @@ def _model(aux, g_matrix):
     y = [1.0, 1.0, 0.0]
     comps = [ErrorComponent(1.0, -1.0, y), ErrorComponent(0.5, 0.5, [0.0, 1.0, 2.0]),
              ErrorComponent(2.0e4, -2.0, y), ErrorComponent(3.0, 1.5, [1.0, -1.0, 1.0])]
-    return ErrorModel(components=comps, aux_space=aux, alpha=aux.beta, g_matrix=g_matrix)
+    return ErrorModel(components=comps, aux_space=aux, g_matrix=g_matrix)
 
 
 def _h_oracle(model, i, t, z):
