@@ -54,246 +54,271 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# schema definitions (source of truth for docs/*.schema.json)
+# schemas: JSON Schema (draft 2020-12), shipped as docs/*.schema.json
 # ---------------------------------------------------------------------------
 
 _NUM = {"type": "number"}
-_VEC = {"type": "array", "items": _NUM, "min_len": 1}
+_VEC = {"type": "array", "items": _NUM, "minItems": 1}
+# a vector paired in a space: every space is on R^3
+_VEC3 = {"type": "array", "items": _NUM, "minItems": 3, "maxItems": 3}
+_SPACE_REF = {"$ref": "#/$defs/space"}
 
 _SPACE = {
     "type": "object",
-    "fields": {
-        "family": {"type": "string", "choices": ["CROSS_2NORM", "POWERED", "LP_CROSS", "SCALED"]},
-        "dim": {"type": "integer", "min": 2},
-        "beta": {"type": "number", "exclusive_min": 0.0, "max": 1.0,
-                 "msg": "beta must lie in (0,1]"},
-        "kappa": {"type": "number", "min": 1.0},
-        "p": {"type": "number", "exclusive_min": 0.0, "max": 1.0,
-              "msg": "p must lie in (0,1]"},
-        "factor": {"type": "number", "exclusive_min": 0.0},
-        "base": {"type": "self"},
+    "properties": {
+        "family": {"type": "string", "enum": ["CROSS_2NORM", "POWERED", "LP_CROSS", "SCALED"]},
+        "beta": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 1.0,
+                 "description": "beta must lie in (0,1]"},
+        "kappa": {"type": "number", "minimum": 1.0},
+        "p": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 1.0,
+              "description": "p must lie in (0,1]"},
+        "factor": {"type": "number", "exclusiveMinimum": 0.0},
+        "base": _SPACE_REF,
     },
     "required": ["family"],
-    "defaults": {"dim": 3, "beta": 1.0, "kappa": 1.0},
+    "additionalProperties": False,
+    "default": {"beta": 1.0, "kappa": 1.0},
 }
+_DEFS = {"space": _SPACE}
 
 _EQUATION = {
     "type": "object",
-    "fields": {
+    "properties": {
         "a": _NUM, "b": _NUM, "c": _NUM, "d": _NUM,
-        "root_n": {"type": "integer", "min": 3, "odd": True,
-                   "msg": "root_n must be an odd integer >= 3"},
+        "root_n": {"type": "integer", "minimum": 3, "not": {"multipleOf": 2},
+                   "description": "root_n must be an odd integer >= 3"},
     },
     "required": ["a", "b", "c", "d"],
-    "defaults": {"root_n": 3},
+    "additionalProperties": False,
+    "default": {"root_n": 3},
 }
 
 _VECTOR_FUNCTION = {
     "type": "object",
-    "fields": {
+    "properties": {
         "terms": {"type": "array", "items": {
             "type": "object",
-            "fields": {
+            "properties": {
                 "coef": _NUM,
                 "exponent": _NUM,
-                "mode": {"type": "string", "choices": ["ABS", "SIGNED"]},
-                "direction": _VEC,
+                "mode": {"type": "string", "enum": ["ABS", "SIGNED"]},
+                "direction": _VEC3,
             },
             "required": ["coef", "exponent", "direction"],
-            "defaults": {"mode": "ABS"},
+            "additionalProperties": False,
+            "default": {"mode": "ABS"},
         }},
-        "constant": _VEC,
+        "constant": _VEC3,
     },
     "required": [],
-    "defaults": {"terms": []},
+    "additionalProperties": False,
+    "default": {"terms": []},
 }
 
 SCHEMAS = {
     "CHECK_SPACE": {
         "type": "object",
-        "fields": {
-            "space": _SPACE,
-            "trials": {"type": "integer", "min": 1},
+        "properties": {
+            "space": _SPACE_REF,
+            "trials": {"type": "integer", "minimum": 1},
         },
         "required": ["space"],
-        "defaults": {"trials": 10_000},
+        "additionalProperties": False,
+        "default": {"trials": 10_000},
     },
     "ENVELOPE": {
         "type": "object",
-        "fields": {
-            "space": _SPACE,
-            "trials": {"type": "integer", "min": 1},
-            "certificate_samples": {"type": "integer", "min": 0},
-            "budget": {"type": "integer", "min": 1},
+        "properties": {
+            "space": _SPACE_REF,
+            "trials": {"type": "integer", "minimum": 1},
+            "certificate_samples": {"type": "integer", "minimum": 0},
+            "budget": {"type": "integer", "minimum": 1},
         },
         "required": ["space"],
-        "defaults": {"trials": 10_000, "certificate_samples": 1000, "budget": 12},
+        "additionalProperties": False,
+        "default": {"trials": 10_000, "certificate_samples": 1000, "budget": 12},
     },
     "FIXED_POINT": {
         "type": "object",
-        "fields": {
-            "space": _SPACE,
-            "branches": {"type": "array", "min_len": 1, "items": {
+        "properties": {
+            "space": _SPACE_REF,
+            "branches": {"type": "array", "minItems": 1, "items": {
                 "type": "object",
-                "fields": {
+                "properties": {
                     "scale": _NUM, "coef": _NUM,
-                    "kappa_exp": {"type": "integer", "min": 1, "max": 2},
+                    "kappa_exp": {"type": "integer", "minimum": 1, "maximum": 2},
                 },
                 "required": ["scale", "coef"],
-                "defaults": {"kappa_exp": 1},
+                "additionalProperties": False,
+                "default": {"kappa_exp": 1},
             }},
             "phi": _VECTOR_FUNCTION,
             "error_terms": {"type": "array", "items": {
                 "type": "object",
-                "fields": {"c": {"type": "number", "min": 0.0}, "s": _NUM},
+                "properties": {"c": {"type": "number", "minimum": 0.0}, "s": _NUM},
                 "required": ["c", "s"],
-                "defaults": {},
+                "additionalProperties": False,
             }},
-            "samples": {"type": "array", "items": _NUM, "min_len": 1},
+            "samples": {"type": "array", "items": _NUM, "minItems": 1},
             "samples_csv": {"type": "string"},
-            "witnesses": {"type": "array", "items": _VEC, "min_len": 1},
-            "tol": {"type": "number", "exclusive_min": 0.0},
-            "n_max": {"type": "integer", "min": 1},
+            "witnesses": {"type": "array", "items": _VEC3, "minItems": 1},
+            "tol": {"type": "number", "exclusiveMinimum": 0.0},
+            "n_max": {"type": "integer", "minimum": 1},
         },
         "required": ["space", "branches", "phi", "error_terms"],
-        "defaults": {"tol": 1e-10, "n_max": 200,
-                     "witnesses": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+        "additionalProperties": False,
+        "default": {"tol": 1e-10, "n_max": 200,
+                    "witnesses": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
     },
     "SOLVE": {
         "type": "object",
-        "fields": {
+        "properties": {
             "equation": _EQUATION,
             "theta_coef": _NUM,
             "w": _VEC,
             "direction": _VEC,
-            "grid": {"type": "array", "items": _NUM, "min_len": 1},
-            "tol": {"type": "number", "exclusive_min": 0.0},
-            "residual_pairs": {"type": "integer", "min": 0},
+            "grid": {"type": "array", "items": _NUM, "minItems": 1},
+            "tol": {"type": "number", "exclusiveMinimum": 0.0},
+            "residual_pairs": {"type": "integer", "minimum": 0},
         },
         "required": ["equation"],
-        "defaults": {"theta_coef": 1.0, "direction": [1.0, 0.0, 0.0],
-                     "grid": [0.5, 0.75, 1.0, 1.5, 2.0], "tol": 1e-10,
-                     "residual_pairs": 1000},
+        "additionalProperties": False,
+        "default": {"theta_coef": 1.0, "direction": [1.0, 0.0, 0.0],
+                    "grid": [0.5, 0.75, 1.0, 1.5, 2.0], "tol": 1e-10,
+                    "residual_pairs": 1000},
     },
     "HYPERSTAB": {
         "type": "object",
-        "fields": {
-            "space": _SPACE,
-            "aux_space": _SPACE,
+        "properties": {
+            "space": _SPACE_REF,
+            "aux_space": _SPACE_REF,
             "equation": _EQUATION,
             "error_model": {
                 "type": "object",
-                "fields": {
-                    "alpha": {"type": "number", "exclusive_min": 0.0, "max": 1.0,
-                              "msg": "alpha must lie in (0,1]"},
-                    "components": {"type": "array", "min_len": 4, "max_len": 4, "items": {
+                "properties": {
+                    "alpha": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 1.0,
+                              "description": "alpha must lie in (0,1]"},
+                    "components": {"type": "array", "minItems": 4, "maxItems": 4, "items": {
                         "type": "object",
-                        "fields": {"c": {"type": "number", "min": 0.0}, "p": _NUM, "y": _VEC},
+                        "properties": {"c": {"type": "number", "minimum": 0.0}, "p": _NUM,
+                                       "y": _VEC3},
                         "required": ["c", "p", "y"],
-                        "defaults": {},
+                        "additionalProperties": False,
                     }},
-                    "g_map": {"type": "any"},
+                    "g_map": {},
                 },
                 "required": ["components"],
-                "defaults": {"g_map": "IDENTITY"},
+                "additionalProperties": False,
+                "default": {"g_map": "IDENTITY"},
             },
             "solution": {
                 "type": "object",
-                "fields": {"theta_coef": _NUM, "w": _VEC, "direction": _VEC},
+                "properties": {"theta_coef": _NUM, "w": _VEC3, "direction": _VEC3},
                 "required": [],
-                "defaults": {"theta_coef": 1.0, "direction": [1.0, 0.0, 0.0]},
+                "additionalProperties": False,
+                "default": {"theta_coef": 1.0, "direction": [1.0, 0.0, 0.0]},
             },
             "perturbation": {
                 "type": "object",
-                "fields": {
+                "properties": {
                     "eta": _NUM, "exponent": _NUM,
-                    "mode": {"type": "string", "choices": ["ABS", "SIGNED"]},
-                    "direction": _VEC,
+                    "mode": {"type": "string", "enum": ["ABS", "SIGNED"]},
+                    "direction": _VEC3,
                 },
                 "required": [],
-                "defaults": {"eta": 0.0, "exponent": -3.0, "mode": "ABS"},
+                "additionalProperties": False,
+                "default": {"eta": 0.0, "exponent": -3.0, "mode": "ABS"},
             },
-            "grid": {"type": "array", "items": _NUM, "min_len": 1},
-            "m_values": {"type": "array", "items": {"type": "integer", "min": 2}},
-            "m_max": {"type": "integer", "min": 2},
-            "witnesses": {"type": "array", "items": _VEC, "min_len": 1},
+            "grid": {"type": "array", "items": _NUM, "minItems": 1},
+            "m_values": {"type": "array", "items": {"type": "integer", "minimum": 2}},
+            "m_max": {"type": "integer", "minimum": 2},
+            "witnesses": {"type": "array", "items": _VEC3, "minItems": 1},
             "tolerances": {
                 "type": "object",
-                "fields": {
-                    "qm_tol": {"type": "number", "exclusive_min": 0.0},
-                    "qm_n_max": {"type": "integer", "min": 1},
-                    "residual_pairs": {"type": "integer", "min": 0},
+                "properties": {
+                    "qm_tol": {"type": "number", "exclusiveMinimum": 0.0},
+                    "qm_n_max": {"type": "integer", "minimum": 1},
+                    "residual_pairs": {"type": "integer", "minimum": 0},
                 },
                 "required": [],
-                "defaults": {"qm_tol": 1e-10, "qm_n_max": 60, "residual_pairs": 1000},
+                "additionalProperties": False,
+                "default": {"qm_tol": 1e-10, "qm_n_max": 60, "residual_pairs": 1000},
             },
         },
         "required": ["space", "equation", "error_model", "grid"],
-        "defaults": {"m_values": [2, 3, 5], "m_max": 12,
-                     "witnesses": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]},
+        "additionalProperties": False,
+        "default": {"m_values": [2, 3, 5], "m_max": 12,
+                    "witnesses": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]},
     },
 }
 
 _TOP = {
     "type": "object",
-    "fields": {
-        "command": {"type": "string", "choices": list(COMMANDS)},
-        "seed": {"type": "integer", "min": 0},
+    "properties": {
+        "command": {"type": "string", "enum": list(COMMANDS)},
+        "seed": {"type": "integer", "minimum": 0},
         "output": {"type": "string"},
-        "format": {"type": "string", "choices": ["json", "csv"]},
-        "payload": {"type": "any"},
+        "format": {"type": "string", "enum": ["json", "csv"]},
+        "payload": {},
     },
     "required": ["command", "payload"],
-    "defaults": {"seed": 0, "format": "json"},
+    "additionalProperties": False,
+    "default": {"seed": 0, "format": "json"},
 }
 
 
-def _validate(node: dict, value, path: str, enclosing=None):
-    """Recursive schema check; returns the value with defaults filled in.
+def _validate(node: dict, value, path: str):
+    """Check ``value`` against a schema node; returns it with defaults filled in.
 
-    An absent object field with no required keys is filled from its own
-    defaults.  ``self`` nodes re-validate against the nearest enclosing
-    object schema (used for the recursive base-space field).
+    The keywords read are the ones the schemas use: ``$ref`` (into
+    ``$defs``), ``type``, ``properties``, ``required``,
+    ``additionalProperties: false``, ``default``, ``items``,
+    ``minItems``/``maxItems``, ``enum``, ``minimum``/``maximum``/
+    ``exclusiveMinimum`` and ``not: {multipleOf}``; a node without ``type``
+    (``{}``) takes any value.  An absent property takes its object's
+    ``default``, or, when it is an object with no required keys, its own
+    defaults.  A failed bound reports the node's ``description`` if it has one.
     """
-    kind = node["type"]
-    if kind == "self":
-        return _validate(enclosing, value, path, enclosing)
-    if kind == "any":
+    if "$ref" in node:
+        node = _DEFS[node["$ref"].rpartition("/")[2]]
+    kind = node.get("type")
+    if kind is None:
         return value
     if kind == "object":
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")
-        fields = node["fields"]
-        for key in value:
-            if key not in fields:
-                raise ConfigError(f"unknown key at {path}.{key}")
-        for key in node.get("required", []):
+        props = node["properties"]
+        if node.get("additionalProperties") is False:
+            for key in value:
+                if key not in props:
+                    raise ConfigError(f"unknown key at {path}.{key}")
+        for key in node["required"]:
             if key not in value:
                 raise ConfigError(f"{path}.{key}: required field missing")
+        default = node.get("default", {})
         out = {}
-        for key, sub in fields.items():
+        for key, sub in props.items():
             if key in value:
-                out[key] = _validate(sub, value[key], f"{path}.{key}", node)
-            elif key in node.get("defaults", {}):
-                out[key] = node["defaults"][key]
-            elif sub["type"] == "object" and not sub.get("required"):
-                out[key] = _validate(sub, {}, f"{path}.{key}", node)
+                out[key] = _validate(sub, value[key], f"{path}.{key}")
+            elif key in default:
+                out[key] = default[key]
+            elif sub.get("type") == "object" and not sub["required"]:
+                out[key] = _validate(sub, {}, f"{path}.{key}")
         return out
     if kind == "array":
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected an array")
-        if len(value) < node.get("min_len", 0):
-            raise ConfigError(f"{path}: at least {node['min_len']} item(s) required")
-        if "max_len" in node and len(value) > node["max_len"]:
-            raise ConfigError(f"{path}: at most {node['max_len']} item(s) allowed")
-        return [_validate(node["items"], v, f"{path}[{i}]", enclosing)
-                for i, v in enumerate(value)]
+        if len(value) < node.get("minItems", 0):
+            raise ConfigError(f"{path}: at least {node['minItems']} item(s) required")
+        if "maxItems" in node and len(value) > node["maxItems"]:
+            raise ConfigError(f"{path}: at most {node['maxItems']} item(s) allowed")
+        return [_validate(node["items"], v, f"{path}[{i}]") for i, v in enumerate(value)]
     if kind == "string":
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string")
-        choices = node.get("choices")
-        if choices and value not in choices:
-            raise ConfigError(f"{path}: must be one of {choices}")
+        enum = node.get("enum")
+        if enum and value not in enum:
+            raise ConfigError(f"{path}: must be one of {enum}")
         return value
     if kind == "integer":
         if not isinstance(value, int) or isinstance(value, bool):
@@ -311,69 +336,22 @@ def _validate(node: dict, value, path: str, enclosing=None):
 
 
 def _check_bounds(node, value, path):
-    msg = node.get("msg")
-    if "min" in node and value < node["min"]:
-        raise ConfigError(msg or f"{path}: must be >= {node['min']}")
-    if "max" in node and value > node["max"]:
-        raise ConfigError(msg or f"{path}: must be <= {node['max']}")
-    if "exclusive_min" in node and value <= node["exclusive_min"]:
-        raise ConfigError(msg or f"{path}: must be > {node['exclusive_min']}")
-    if node.get("odd") and int(value) % 2 == 0:
-        raise ConfigError(msg or f"{path}: must be odd")
+    msg = node.get("description")
+    if "minimum" in node and value < node["minimum"]:
+        raise ConfigError(msg or f"{path}: must be >= {node['minimum']}")
+    if "maximum" in node and value > node["maximum"]:
+        raise ConfigError(msg or f"{path}: must be <= {node['maximum']}")
+    if "exclusiveMinimum" in node and value <= node["exclusiveMinimum"]:
+        raise ConfigError(msg or f"{path}: must be > {node['exclusiveMinimum']}")
+    if "not" in node and value % node["not"]["multipleOf"] == 0:
+        raise ConfigError(msg or f"{path}: must not be a multiple of {node['not']['multipleOf']}")
 
 
 def json_schema(command: str) -> dict:
-    """JSON-Schema rendering of a command's payload schema (shipped in docs/).
-
-    The recursive space descriptor is emitted once under ``$defs/space`` so
-    its self-reference resolves correctly when nested inside a payload.
-    """
-
-    def convert(node, in_space=False):
-        if node is _SPACE and not in_space:
-            return {"$ref": "#/$defs/space"}
-        kind = node["type"]
-        if kind == "self":
-            return {"$ref": "#/$defs/space"}
-        if kind == "any":
-            return {}
-        if kind == "object":
-            return {
-                "type": "object",
-                "properties": {k: convert(v) for k, v in node["fields"].items()},
-                "required": list(node.get("required", [])),
-                "additionalProperties": False,
-                **({"default": node["defaults"]} if node.get("defaults") else {}),
-            }
-        if kind == "array":
-            out = {"type": "array", "items": convert(node["items"])}
-            if "min_len" in node:
-                out["minItems"] = node["min_len"]
-            if "max_len" in node:
-                out["maxItems"] = node["max_len"]
-            return out
-        if kind == "string":
-            out = {"type": "string"}
-            if node.get("choices"):
-                out["enum"] = list(node["choices"])
-            return out
-        out = {"type": "integer" if kind == "integer" else "number"}
-        if "min" in node:
-            out["minimum"] = node["min"]
-        if "max" in node:
-            out["maximum"] = node["max"]
-        if "exclusive_min" in node:
-            out["exclusiveMinimum"] = node["exclusive_min"]
-        if node.get("odd"):
-            out["not"] = {"multipleOf": 2}
-        return out
-
-    return {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "title": f"{command} payload",
-        "$defs": {"space": convert(_SPACE, in_space=True)},
-        **convert(SCHEMAS[command]),
-    }
+    """A command's payload schema as shipped in ``docs/``: ``SCHEMAS[command]``
+    under a header that holds the space schema its ``$ref``s point at."""
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema",
+            "title": f"{command} payload", "$defs": _DEFS, **SCHEMAS[command]}
 
 
 @dataclass
@@ -712,11 +690,11 @@ def main(argv=None) -> int:
         with open(args.config, "rb") as fh:
             text = fh.read()
         config = parse_config(text, command=_CLI_NAMES[args.cli_command])
+        if args.seed is not None:
+            config.seed = _validate(_TOP["properties"]["seed"], args.seed, "--seed")
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        config.seed = args.seed
     if args.format is not None:
         config.format = args.format
     code = run(config, out_dir=args.out)

@@ -259,8 +259,8 @@ class PTriangleReport:
         }
 
 
-def check_p_triangle(space: SpaceDescriptor, trials: int, seed: int,
-                     budget: int = 12) -> PTriangleReport:
+def check_p_triangle(space: SpaceDescriptor, trials: int, seed: int, *,
+                     budget: int) -> PTriangleReport:
     """Sample (x, y, z) and test ``E(x+y,z)^r <= E(x,z)^r + E(y,z)^r``.
 
     ``r = theta(beta, kappa) / beta``; violations are counted beyond 1e-6

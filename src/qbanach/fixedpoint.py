@@ -50,7 +50,7 @@ __all__ = [
 
 # Cap on the terms of the deepest level, C(n_max + j - 1, j - 1), that
 # ``iterate`` expands for a callable phi with j branches; each term costs one
-# phi call per sample.  The default n_max = 200 with 3 branches needs 20,301.
+# phi call per sample.  The CLI default n_max = 200 with 3 branches needs 20,301.
 MAX_ORBIT_TERMS = 50_000
 
 
@@ -412,7 +412,7 @@ def _orbit_iterates(spec: IterationSpec, phi, sample_xs):
 
 
 def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[float],
-            witnesses: Sequence, tol: float = 1e-10, n_max: int = 200) -> FixedPointReport:
+            witnesses: Sequence, *, tol: float, n_max: int) -> FixedPointReport:
     """Iterate T from phi on the samples and verify the error bound.
 
     Convergence requires three consecutive sup-steps (over samples and

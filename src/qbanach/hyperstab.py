@@ -221,25 +221,24 @@ class HyperstabConstants:
                 "sigma": self.sigma, "in_M0": self.in_M0}
 
 
-def constants(eq: EquationParams, model: ErrorModel, space_kappa: float,
-              space_beta: float, m: int) -> HyperstabConstants:
-    """Evaluate A_m, B_m, C_m, P_m and sigma_m for one index."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    u, v, w = sequences(eq.a, eq.b, m, eq.root_n)
-    up, vp, wp = scale_powers(eq.a, eq.b, m, eq.root_n)
+def constants(eq: EquationParams, model: ErrorModel, space: SpaceDescriptor,
+              m: int) -> HyperstabConstants:
+    """Evaluate A_m, B_m, C_m, P_m and sigma_m for one index: sums over the
+    branches of ``radical_iteration_spec``, each term its Lipschitz weight
+    times the components' multipliers at its exact n-th power scale."""
+    spec = radical_iteration_spec(eq, m, space)
+    u, v, w = (br.scale for br in spec.branches)
+    up, vp, _ = spec.power_hints
     h1, h2, h3, h4 = model.components
     al = model.alpha
-    k1 = space_kappa * abs(eq.c) ** space_beta
-    k2 = space_kappa ** 2 * abs(eq.d) ** space_beta
-    k3 = space_kappa ** 2
+    weights = spec.weights
 
-    def s12(rho):
-        return s_multiplier(h1, rho, al) * s_multiplier(h2, rho, al)
+    def weighted(s):
+        return sum(L * s(rho) for L, rho in zip(weights, spec.power_hints))
 
-    A = k1 * s12(up) + k2 * s12(vp) + k3 * s12(wp)
-    B = k1 * s_multiplier(h3, up, al) + k2 * s_multiplier(h3, vp, al) + k3 * s_multiplier(h3, wp, al)
-    C = k1 * s_multiplier(h4, up, al) + k2 * s_multiplier(h4, vp, al) + k3 * s_multiplier(h4, wp, al)
+    A = weighted(lambda rho: s_multiplier(h1, rho, al) * s_multiplier(h2, rho, al))
+    B = weighted(lambda rho: s_multiplier(h3, rho, al))
+    C = weighted(lambda rho: s_multiplier(h4, rho, al))
     P = max(A, B, C)
     sigma = max(s_multiplier(h1, up, al) * s_multiplier(h2, vp, al),
                 s_multiplier(h3, up, al), s_multiplier(h4, vp, al))
@@ -265,13 +264,13 @@ class M0Result:
         }
 
 
-def find_M0(eq: EquationParams, model: ErrorModel, kappa: float, beta: float,
+def find_M0(eq: EquationParams, model: ErrorModel, space: SpaceDescriptor,
             m_max: int) -> M0Result:
     """Scan m = 2..m_max for P_m < 1; also report the sigma trend and which of
     the three vanishing-at-infinity conditions hold for the power family."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    all_c = [constants(eq, model, kappa, beta, m) for m in range(2, m_max + 1)]
+    all_c = [constants(eq, model, space, m) for m in range(2, m_max + 1)]
     members = [c.m for c in all_c if c.in_M0]
     min_member = members[0] if members else None
     sigma_dec = False
@@ -540,7 +539,7 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
         constant=f0.constant.copy(),
     )
 
-    m0 = find_M0(eq, config.model, space.kappa, space.beta, config.m_max)
+    m0 = find_M0(eq, config.model, space, config.m_max)
     if not m0.members:
         return HyperstabReport(
             feasible=False, m0=m0, theta=th, per_m=[],

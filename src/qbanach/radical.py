@@ -98,7 +98,7 @@ class EquationParams:
     @staticmethod
     def from_dict(d: dict) -> "EquationParams":
         return EquationParams(a=float(d["a"]), b=float(d["b"]), c=float(d["c"]),
-                              d=float(d["d"]), root_n=int(d.get("root_n", 3)))
+                              d=float(d["d"]), root_n=int(d["root_n"]))
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,8 @@ class VectorFunction:
     def from_dict(d: dict) -> "VectorFunction":
         terms = [
             Term(coef=float(t["coef"]), exponent=float(t["exponent"]),
-                 mode=t.get("mode", "ABS"), direction=t["direction"])
-            for t in d.get("terms", [])
+                 mode=t["mode"], direction=t["direction"])
+            for t in d["terms"]
         ]
         return VectorFunction(terms=terms, constant=d.get("constant"))
 

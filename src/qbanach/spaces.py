@@ -75,7 +75,6 @@ class SpaceDescriptor:
     """
 
     family: str
-    dim: int = 3
     beta: float = 1.0
     kappa: float = 1.0
     p: Optional[float] = None            # LP_CROSS only
@@ -85,14 +84,10 @@ class SpaceDescriptor:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown space family {self.family!r}")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError("beta must lie in (0,1]")
         if not (math.isfinite(self.kappa) and self.kappa >= 1.0):
             raise ValueError("kappa must be finite and >= 1")
-        if self.family in ("CROSS_2NORM", "POWERED", "LP_CROSS") and self.dim != 3:
-            raise ValueError(f"{self.family} is defined on R^3 (dim 3)")
         if self.family == "LP_CROSS":
             if self.p is None or not (0.0 < self.p <= 1.0):
                 raise ValueError("LP_CROSS requires p in (0,1]")
@@ -104,14 +99,14 @@ class SpaceDescriptor:
         if self.family == "SCALED":
             if self.base is None or self.factor is None or self.factor <= 0:
                 raise ValueError("SCALED requires a base space and factor C > 0")
-        # the samplers draw vectors of ``dim`` entries and the norm evaluates
-        # them in the base space, so the two must agree
-        if self.base is not None and self.base.dim != self.dim:
-            raise ValueError(f"{self.family} dim {self.dim} differs from its base's "
-                             f"dim {self.base.dim}")
+
+    @property
+    def dim(self) -> int:
+        """Every space is on R^3 (the cross product's), so vectors have 3 entries."""
+        return 3
 
     def to_dict(self) -> dict:
-        d = {"family": self.family, "dim": self.dim, "beta": self.beta, "kappa": self.kappa}
+        d = {"family": self.family, "beta": self.beta, "kappa": self.kappa}
         if self.family == "LP_CROSS":
             d["p"] = self.p
         if self.family == "SCALED":
@@ -122,21 +117,20 @@ class SpaceDescriptor:
 
 
 def space_from_dict(d: dict) -> SpaceDescriptor:
-    base = space_from_dict(d["base"]) if "base" in d and d["base"] is not None else None
+    """The space of a validated config section, or of ``to_dict``'s output."""
     return SpaceDescriptor(
         family=d["family"],
-        dim=int(d.get("dim", 3)),
-        beta=float(d.get("beta", 1.0)),
-        kappa=float(d.get("kappa", 1.0)),
+        beta=float(d["beta"]),
+        kappa=float(d["kappa"]),
         p=d.get("p"),
         factor=d.get("factor"),
-        base=base,
+        base=space_from_dict(d["base"]) if "base" in d else None,
     )
 
 
 def cross_2norm() -> SpaceDescriptor:
     """The Euclidean cross-product 2-norm on R^3 (kappa = 1, beta = 1)."""
-    return SpaceDescriptor(family="CROSS_2NORM", dim=3, beta=1.0, kappa=1.0)
+    return SpaceDescriptor(family="CROSS_2NORM", beta=1.0, kappa=1.0)
 
 
 def lp_cross(p: float, kappa: Optional[float] = None) -> SpaceDescriptor:
@@ -144,7 +138,7 @@ def lp_cross(p: float, kappa: Optional[float] = None) -> SpaceDescriptor:
     if not (0.0 < p <= 1.0):
         raise ValueError("LP_CROSS requires p in (0,1]")
     declared = 2.0 ** (1.0 / p - 1.0) if kappa is None else kappa
-    return SpaceDescriptor(family="LP_CROSS", dim=3, beta=1.0, kappa=declared, p=p)
+    return SpaceDescriptor(family="LP_CROSS", beta=1.0, kappa=declared, p=p)
 
 
 def power_space(base: SpaceDescriptor, beta: float) -> SpaceDescriptor:
@@ -159,17 +153,13 @@ def power_space(base: SpaceDescriptor, beta: float) -> SpaceDescriptor:
         raise ValueError("base must be a quasi-2-norm (beta = 1)")
     if beta == 1.0:
         return base
-    return SpaceDescriptor(
-        family="POWERED", dim=base.dim, beta=beta, kappa=base.kappa ** beta, base=base
-    )
+    return SpaceDescriptor(family="POWERED", beta=beta, kappa=base.kappa ** beta, base=base)
 
 
 def scaled_space(base: SpaceDescriptor, factor: float) -> SpaceDescriptor:
     """Pointwise multiple ``C * base(x, y)``; the modulus is unchanged."""
-    return SpaceDescriptor(
-        family="SCALED", dim=base.dim, beta=base.beta, kappa=base.kappa,
-        factor=factor, base=base,
-    )
+    return SpaceDescriptor(family="SCALED", beta=base.beta, kappa=base.kappa,
+                           factor=factor, base=base)
 
 
 def _cross_rows(X, Y):

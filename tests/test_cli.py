@@ -1,15 +1,19 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qbanach import cli
-from qbanach.cli import (COMMANDS, VIOLATIONS, ConfigError, RunConfig, _pair_shortfall,
-                         emit_csv, json_schema, main, parse_config, run, serialize_config)
+from qbanach.cli import (COMMANDS, SCHEMAS, VIOLATIONS, ConfigError, RunConfig,
+                         _pair_shortfall, emit_csv, json_schema, main, parse_config, run,
+                         serialize_config)
 from qbanach.radical import EquationParams, sample_admissible_pairs
 from test_report_golden import check_bound_table
 
@@ -357,13 +361,24 @@ def test_main_reports_config_errors(tmp_path):
     assert code == 1
 
 
-def test_docs_schemas_in_sync():
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+def _schema_path(cmd):
+    return os.path.join(os.path.dirname(_REFERENCE_PATH), f"{cmd.lower()}.schema.json")
+
+
+def write_schemas():
+    """Rewrite ``docs/*.schema.json`` from ``cli.json_schema``."""
     for cmd in COMMANDS:
-        path = os.path.join(here, "docs", f"{cmd.lower()}.schema.json")
-        with open(path) as fh:
+        with open(_schema_path(cmd), "w") as fh:
+            fh.write(json.dumps(json_schema(cmd), sort_keys=True, indent=2) + "\n")
+
+
+def test_docs_schemas_in_sync():
+    for cmd in COMMANDS:
+        with open(_schema_path(cmd)) as fh:
             shipped = json.load(fh)
-        assert shipped == json_schema(cmd), f"docs schema stale for {cmd}"
+        assert shipped == json_schema(cmd), (
+            f"docs schema stale for {cmd}; regenerate the docs with "
+            "`PYTHONPATH=src python tests/test_cli.py --write-schemas`")
 
 
 def test_readme_exit_table_names_every_violation():
@@ -480,7 +495,7 @@ def test_solve_grid_rows_are_the_sampler_draws_in_order(tmp_path):
         format="csv"))
     assert run(cfg, out_dir=str(tmp_path)) == 0
     report = json.loads((tmp_path / "solve_report.json").read_text())["report"]
-    draws = list(sample_admissible_pairs(EquationParams.from_dict(eq), 1.0, 1.000002, 20,
+    draws = list(sample_admissible_pairs(EquationParams(**eq, root_n=3), 1.0, 1.000002, 20,
                                          np.random.default_rng(3)))
     with open(tmp_path / "residual_grid.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
@@ -623,7 +638,7 @@ def test_solve_and_hyperstab_report_one_residual_record(tmp_path):
         (rec["qm"], REFERENCE_HYPERSTAB_PAYLOAD["equation"], 400, 7 + rec["m"]) for rec in per_m]
     for record, equation, wanted, seed in checks:
         assert {"sup_residual_scaled", "residual_pairs", "drawn_pairs", "worst_pair"} <= set(record)
-        draws = list(sample_admissible_pairs(EquationParams.from_dict(equation), 0.5, 2.0,
+        draws = list(sample_admissible_pairs(EquationParams(**equation, root_n=3), 0.5, 2.0,
                                              wanted, np.random.default_rng(seed)))
         assert record["drawn_pairs"] == len(draws)
         assert record["residual_pairs"] == sum(ok for _, _, ok in draws) == wanted
@@ -657,3 +672,183 @@ def test_a_non_finite_report_number_exits_1_without_a_report(value, tmp_path, ca
     assert err.startswith("error: solve: non-finite number in the report")
     assert "Traceback" not in err
     assert not (tmp_path / "solve_report.json").exists()
+
+
+def _cli_main(command, payload, tmp_path, *flags):
+    """``main``'s exit code on a config file holding ``payload``."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(command, payload))
+    return main([command.lower().replace("_", "-"), "--config", str(cfg_path),
+                 "--out", str(tmp_path), *flags])
+
+
+def test_a_space_dim_is_an_unknown_key(tmp_path, capsys):
+    # every space is on R^3: "dim" is no config key, not even at its old value 3
+    payload = {"space": {"family": "POWERED", "beta": 0.5,
+                         "base": {"family": "CROSS_2NORM", "dim": 3}}, "trials": 100}
+    assert _cli_main("CHECK_SPACE", payload, tmp_path) == 1
+    assert capsys.readouterr().err == "error: unknown key at payload.space.base.dim\n"
+    payload = {"space": {"family": "CROSS_2NORM", "dim": 3}, "trials": 100}
+    assert _cli_main("CHECK_SPACE", payload, tmp_path) == 1
+    assert capsys.readouterr().err == "error: unknown key at payload.space.dim\n"
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+_FIXED_POINT_PAYLOAD = {
+    "space": {"family": "CROSS_2NORM"},
+    "branches": [{"scale": 2.0, "coef": 0.5}],
+    "phi": {"terms": [{"coef": 1.0, "exponent": 1.0, "direction": [1.0, 0.0, 0.0]}],
+            "constant": [0.3, 0.0, 0.0]},
+    "error_terms": [{"c": 0.15, "s": 0.0}],
+    "samples": [0.5, 1.0, 2.0],
+    "witnesses": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
+def _steps(path):
+    """The keys and list indices of a validator path such as ``a.b[2].c``."""
+    return [int(s[1:-1]) if s.startswith("[") else s
+            for s in path.replace("[", ".[").split(".")]
+
+
+@pytest.mark.parametrize("command,path,length", [
+    ("HYPERSTAB", "solution.direction", 2),
+    ("HYPERSTAB", "solution.w", 4),
+    ("HYPERSTAB", "perturbation.direction", 2),
+    ("HYPERSTAB", "error_model.components[2].y", 2),
+    ("HYPERSTAB", "witnesses[1]", 2),
+    ("FIXED_POINT", "phi.terms[0].direction", 2),
+    ("FIXED_POINT", "phi.constant", 4),
+    ("FIXED_POINT", "witnesses[0]", 2),
+])
+def test_a_space_vector_needs_3_entries(command, path, length):
+    # a 2-long hyperstab direction used to pass parsing and end in "Q_m for
+    # m = 2: dimension mismatch: expected 2, got 3", as if the witnesses were wrong
+    payload = json.loads(json.dumps(
+        REFERENCE_HYPERSTAB_PAYLOAD if command == "HYPERSTAB" else _FIXED_POINT_PAYLOAD))
+    payload.setdefault("witnesses", [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    *parents, last = _steps(path)
+    node = payload
+    for step in parents:
+        node = node[step]
+    node[last] = [1.0] * length
+    with pytest.raises(ConfigError) as err:
+        parse_config(make_config(command, payload))
+    bound = "at least 3 item(s) required" if length < 3 else "at most 3 item(s) allowed"
+    assert str(err.value) == f"payload.{path}: {bound}"
+
+
+def test_solve_vectors_keep_any_length(tmp_path):
+    # solve has no space: a 2-vector solution is an exact solution in R^2
+    payload = {"equation": {"a": 0.6, "b": 0.8, "c": 0.72, "d": 1.28},
+               "w": [0.25, -0.5], "direction": [0.6, 0.8], "residual_pairs": 50}
+    assert run(parse_config(make_config("SOLVE", payload)), out_dir=str(tmp_path)) == 0
+
+
+def test_seed_flag_is_checked_by_the_schema(tmp_path, capsys):
+    # a negative --seed used to reach numpy: "error: expected non-negative integer"
+    payload = {"space": {"family": "CROSS_2NORM"}, "trials": 100}
+    assert _cli_main("CHECK_SPACE", payload, tmp_path, "--seed", "-1") == 1
+    assert capsys.readouterr().err == "error: --seed: must be >= 0\n"
+    assert not list(tmp_path.glob("*_report.json"))
+    assert _cli_main("CHECK_SPACE", payload, tmp_path, "--seed", "5") == 0
+    assert json.loads((tmp_path / "check_space_report.json").read_text())["seed"] == 5
+
+
+# ---------------------------------------------------------------------------
+# configs generated from the JSON Schema itself
+# ---------------------------------------------------------------------------
+
+_DEFS = json_schema("CHECK_SPACE")["$defs"]
+
+
+def _resolve(node):
+    return _DEFS[node["$ref"].rpartition("/")[2]] if "$ref" in node else node
+
+
+def _number_ints(node):
+    """The integers a ``number`` node accepts, bounded so each is a float."""
+    lo = (math.floor(node["exclusiveMinimum"]) + 1 if "exclusiveMinimum" in node
+          else math.ceil(node.get("minimum", -1e6)))
+    return st.integers(lo, math.floor(node.get("maximum", 1e6)))
+
+
+def _from_schema(node, spaces=0):
+    """A strategy for the values that a schema node accepts, read off its JSON
+    Schema keywords; a space nests at most two deep."""
+    spaces += "$ref" in node
+    node = _resolve(node)
+    kind = node.get("type")
+    if kind is None:  # {}: any JSON value
+        return st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
+    if kind == "object":
+        props = node["properties"]
+        optional = {k: _from_schema(v, spaces) for k, v in props.items()
+                    if k not in node["required"] and not ("$ref" in v and spaces >= 2)}
+        return st.fixed_dictionaries({k: _from_schema(props[k], spaces) for k in node["required"]},
+                                     optional=optional)
+    if kind == "array":
+        lo = node.get("minItems", 0)
+        return st.lists(_from_schema(node["items"], spaces), min_size=lo,
+                        max_size=node.get("maxItems", lo + 2))
+    if kind == "string":
+        return st.sampled_from(node["enum"]) if "enum" in node else st.text(max_size=8)
+    if kind == "integer":
+        ints = st.integers(node.get("minimum"), node.get("maximum"))
+        return ints.filter(lambda v: v % node["not"]["multipleOf"]) if "not" in node else ints
+    floats = st.floats(min_value=node.get("exclusiveMinimum", node.get("minimum")),
+                       max_value=node.get("maximum"), exclude_min="exclusiveMinimum" in node,
+                       allow_nan=False, allow_infinity=False)
+    return st.one_of(floats, _number_ints(node))
+
+
+def _config_doc(command):
+    """A config document: ``cli._TOP`` with the command fixed and the payload
+    drawn from the command's schema."""
+    top = {**cli._TOP, "properties": {**cli._TOP["properties"],
+                                      "command": {"type": "string", "enum": [command]},
+                                      "payload": json_schema(command)}}
+    return _from_schema(top)
+
+
+def _objects(node, value, path):
+    """(path, properties) of every object in ``value`` that ``node`` types as one."""
+    node = _resolve(node)
+    if node.get("type") == "object":
+        yield path, node["properties"]
+        for key, sub in node["properties"].items():
+            if key in value:
+                yield from _objects(sub, value[key], f"{path}.{key}")
+    elif node.get("type") == "array":
+        for i, item in enumerate(value):
+            yield from _objects(node["items"], item, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(derandomize=True, max_examples=20, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_generated_configs_round_trip_and_refuse_unknown_keys(command, data):
+    doc = data.draw(_config_doc(command))
+    config = parse_config(json.dumps(doc))
+    assert parse_config(serialize_config(config)) == config
+    # one extra key at an object of the document names its path
+    objects = [("config", cli._TOP["properties"]),
+               *_objects(SCHEMAS[command], doc["payload"], "payload")]
+    path, props = data.draw(st.sampled_from(objects))
+    key = data.draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6)
+                    .filter(lambda k: k not in props))
+    node = doc
+    for step in _steps(path)[path.startswith("config"):]:
+        node = node[step]
+    node[key] = 0
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert str(err.value) == f"unknown key at {path}.{key}"
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py --write-schemas
+    if sys.argv[1:] != ["--write-schemas"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_cli.py --write-schemas")
+    write_schemas()

@@ -292,7 +292,7 @@ def test_iterate_term_path_overflow_names_the_step():
     for phi in (VectorFunction(terms=[Term(coef=1.0, exponent=2.0, direction=E1)]),
                 VectorFunction(terms=[], constant=np.array([1.0, 0.0, 0.0]))):
         with pytest.raises(ValueError, match=r"iteration step \d+: non-finite iterate"):
-            iterate(spec, phi, eps, [1.0], WITNESSES, n_max=1000)
+            iterate(spec, phi, eps, [1.0], WITNESSES, tol=1e-10, n_max=1000)
 
 
 def test_iterate_generic_path_matches_term_path():
@@ -421,11 +421,11 @@ def test_iterate_generic_path_size_guard():
         raise AssertionError("phi called before the size guard")
 
     with pytest.raises(ValueError, match=r"10 branches at n_max = 200 .*MAX_ORBIT_TERMS"):
-        iterate(spec, phi, ScalarErrorFn([(1.0, 0.0)]), [1.0], WITNESSES)
-    # three branches at the default n_max = 200 stay under the cap and run
+        iterate(spec, phi, ScalarErrorFn([(1.0, 0.0)]), [1.0], WITNESSES, tol=1e-10, n_max=200)
+    # three branches at the CLI default n_max = 200 stay under the cap and run
     terms = VectorFunction(terms=[Term(coef=0.1, exponent=-3.0, mode="ABS", direction=E1)])
     rep = iterate(radical_spec(), lambda x: terms(x), ScalarErrorFn([(0.06, -3.0)]), [1.0],
-                  WITNESSES, tol=1e-8)
+                  WITNESSES, tol=1e-8, n_max=200)
     assert rep.converged
 
 

@@ -15,7 +15,7 @@ from qbanach.hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig,
                                run_experiment, s_multiplier, scale_powers,
                                sequences, theorem_bound)
 from qbanach.radical import EquationParams, Term, VectorFunction, make_solution
-from qbanach.spaces import cross_2norm, power_space
+from qbanach.spaces import SpaceDescriptor, cross_2norm, power_space
 from test_report_golden import check_bound_table
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -77,7 +77,7 @@ def test_s_multiplier_closed_form():
 
 def test_constants_reference_value():
     eq = EquationParams(1, 1, 2, 2)
-    cst = constants(eq, reference_model(), 1.0, 1.0, 2)
+    cst = constants(eq, reference_model(), cross_2norm(), 2)
     # independently coded one-line evaluation of the displayed formula
     oracle_A = 2 * 8 ** -2 + 2 * 7 ** -2 + 15 ** -2
     assert oracle_A == pytest.approx(0.07651077097505668, abs=1e-15)
@@ -105,7 +105,9 @@ def test_constants_match_one_line_formulas():
         )
         m = int(rng.integers(2, 9))
         eq = EquationParams(a, b, c, d)
-        cst = constants(eq, model, kappa, beta, m)
+        # a declared kappa over the powered cross norm: only kappa and beta enter
+        space = SpaceDescriptor("POWERED", beta=beta, kappa=kappa, base=cross_2norm())
+        cst = constants(eq, model, space, m)
         up, vp, wp = scale_powers(a, b, m)
         s = lambda p, rho: abs(rho) ** (alpha * p)
         k1, k2, k3 = kappa * abs(c) ** beta, kappa ** 2 * abs(d) ** beta, kappa ** 2
@@ -121,12 +123,12 @@ def test_constants_match_one_line_formulas():
 def test_constants_decay_with_m():
     eq = EquationParams(1, 1, 2, 2)
     model = reference_model()
-    assert constants(eq, model, 1.0, 1.0, 50).P < 1e-3
+    assert constants(eq, model, cross_2norm(), 50).P < 1e-3
 
 
 def test_find_M0_reference():
     eq = EquationParams(1, 1, 2, 2)
-    res = find_M0(eq, reference_model(), 1.0, 1.0, 12)
+    res = find_M0(eq, reference_model(), cross_2norm(), 12)
     assert res.min_member == 2
     assert res.members == list(range(2, 13))
     assert res.sigma_decreasing
@@ -137,7 +139,7 @@ def test_find_M0_empty_for_flat_model():
     # p_i = 0 makes every multiplier 1: P = kappa|c|^beta + kappa^2|d|^beta + kappa^2 >= 3
     eq = EquationParams(1, 1, 2, 2)
     model = reference_model(p1=0.0, p2=0.0, p3=0.0, p4=0.0, c3=1.0, c4=1.0)
-    res = find_M0(eq, model, 1.0, 1.0, 8)
+    res = find_M0(eq, model, cross_2norm(), 8)
     assert res.members == []
     assert res.min_member is None
     assert not any(res.limit_conditions.values())
@@ -146,8 +148,8 @@ def test_find_M0_empty_for_flat_model():
 def test_find_M0_members_match_brute_filter():
     eq = EquationParams(2.0, 1.0, 8.0, 2.0)
     model = reference_model()
-    res = find_M0(eq, model, 1.0, 1.0, 10)
-    brute = [m for m in range(2, 11) if constants(eq, model, 1.0, 1.0, m).P < 1.0]
+    res = find_M0(eq, model, cross_2norm(), 10)
+    brute = [m for m in range(2, 11) if constants(eq, model, cross_2norm(), m).P < 1.0]
     assert res.members == brute
 
 
@@ -228,7 +230,7 @@ def test_inductive_error_bound_closed_form():
     eq = EquationParams(1, 1, 2, 2)
     model = reference_model()
     kappa = beta = 1.0
-    cst = constants(eq, model, kappa, beta, 2)
+    cst = constants(eq, model, cross_2norm(), 2)
     up, vp, wp = scale_powers(1.0, 1.0, 2)
     ps = [c.p for c in model.components]
     cs = [c.c for c in model.components]

@@ -68,22 +68,23 @@ def test_scaled_space():
     assert s.kappa == 1.0
 
 
-def test_scaled_and_powered_dim_must_match_base():
-    # a SCALED dim-2 space over the R^3 cross norm used to be accepted, and
-    # check_axioms then sampled 3-vectors and reported 0 violations
-    with pytest.raises(ValueError, match="SCALED dim 2 differs from its base's dim 3"):
+def test_every_space_is_on_R3_with_no_dim_field():
+    # a dim other than 3 could only fail: SCALED dim 2 over the R^3 cross norm
+    # was once accepted, and check_axioms then sampled 3-vectors
+    with pytest.raises(TypeError, match="dim"):
         SpaceDescriptor("SCALED", dim=2, factor=2.0, base=cross_2norm())
+    spaces = [cross_2norm(), lp_cross(0.5), power_space(cross_2norm(), 0.5),
+              scaled_space(lp_cross(0.5), 2.0)]
+    assert [s.dim for s in spaces] == [3] * 4
+    assert all("dim" not in s.to_dict() for s in spaces)
     cross = cross_2norm().to_dict()
-    with pytest.raises(ValueError, match="SCALED dim 4 differs"):
-        space_from_dict({"family": "SCALED", "dim": 4, "factor": 2.0, "base": cross})
-    with pytest.raises(ValueError, match="dim"):
-        space_from_dict({"family": "POWERED", "dim": 2, "beta": 0.5, "base": cross})
-    s = space_from_dict({"family": "SCALED", "dim": 3, "factor": 2.0, "base": cross})
+    s = space_from_dict({"family": "SCALED", "beta": 1.0, "kappa": 1.0, "factor": 2.0,
+                         "base": cross})
     assert s == scaled_space(cross_2norm(), 2.0)
 
 
 def test_space_json_round_trip():
-    d = {"family": "LP_CROSS", "p": 0.5, "dim": 3, "beta": 1.0, "kappa": 2.0}
+    d = {"family": "LP_CROSS", "p": 0.5, "beta": 1.0, "kappa": 2.0}
     s = space_from_dict(d)
     assert s.to_dict() == d
     s2 = power_space(cross_2norm(), 0.25)
