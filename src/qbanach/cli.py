@@ -19,11 +19,10 @@ import csv
 import datetime
 import io
 import json
-import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .envelope import check_p_triangle, envelope_norm_rows
 from .fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate, load_sample_grid
 # admissibility is not called here but stays bound: bench/tracer.py wraps it
 # in every namespace, cli's included, and its test checks that binding
-from .radical import (EquationParams, NoExactSolutionError, VectorFunction,  # noqa: F401
+from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction,  # noqa: F401
                       admissibility, check_structure, make_solution, residual_check)
 from .spaces import check_axioms, estimate_kappa, eval_norm_rows, space_from_dict
 
@@ -61,12 +60,16 @@ _NUM = {"type": "number"}
 _VEC = {"type": "array", "items": _NUM, "minItems": 1}
 # a vector paired in a space: every space is on R^3
 _VEC3 = {"type": "array", "items": _NUM, "minItems": 3, "maxItems": 3}
+# sample points and grids: the operators and the equation exclude x = 0
+_POINTS = {"type": "array", "items": {"type": "number", "not": {"const": 0}}, "minItems": 1}
 _SPACE_REF = {"$ref": "#/$defs/space"}
 
 _SPACE = {
     "type": "object",
     "properties": {
-        "family": {"type": "string", "enum": ["CROSS_2NORM", "POWERED", "LP_CROSS", "SCALED"]},
+        "family": {"type": "string", "enum": ["CROSS_2NORM", "POWERED", "LP_CROSS", "SCALED"],
+                   "description": "all take beta and kappa; LP_CROSS also needs p, "
+                                  "POWERED a base of beta 1, SCALED a base and a factor"},
         "beta": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 1.0,
                  "description": "beta must lie in (0,1]"},
         "kappa": {"type": "number", "minimum": 1.0},
@@ -112,7 +115,7 @@ _VECTOR_FUNCTION = {
     },
     "required": [],
     "additionalProperties": False,
-    "default": {"terms": []},
+    "default": {"terms": [], "constant": [0.0, 0.0, 0.0]},
 }
 
 SCHEMAS = {
@@ -159,7 +162,7 @@ SCHEMAS = {
                 "required": ["c", "s"],
                 "additionalProperties": False,
             }},
-            "samples": {"type": "array", "items": _NUM, "minItems": 1},
+            "samples": _POINTS,
             "samples_csv": {"type": "string"},
             "witnesses": {"type": "array", "items": _VEC3, "minItems": 1},
             "tol": {"type": "number", "exclusiveMinimum": 0.0},
@@ -177,7 +180,7 @@ SCHEMAS = {
             "theta_coef": _NUM,
             "w": _VEC,
             "direction": _VEC,
-            "grid": {"type": "array", "items": _NUM, "minItems": 1},
+            "grid": _POINTS,
             "tol": {"type": "number", "exclusiveMinimum": 0.0},
             "residual_pairs": {"type": "integer", "minimum": 0},
         },
@@ -205,7 +208,9 @@ SCHEMAS = {
                         "required": ["c", "p", "y"],
                         "additionalProperties": False,
                     }},
-                    "g_map": {},
+                    "g_map": {"description": 'g maps a witness into the auxiliary space: '
+                                             '"IDENTITY", or {"matrix": a 3x3 array of '
+                                             'finite numbers}'},
                 },
                 "required": ["components"],
                 "additionalProperties": False,
@@ -229,7 +234,7 @@ SCHEMAS = {
                 "additionalProperties": False,
                 "default": {"eta": 0.0, "exponent": -3.0, "mode": "ABS"},
             },
-            "grid": {"type": "array", "items": _NUM, "minItems": 1},
+            "grid": _POINTS,
             "m_values": {"type": "array", "items": {"type": "integer", "minimum": 2}},
             "m_max": {"type": "integer", "minimum": 2},
             "witnesses": {"type": "array", "items": _VEC3, "minItems": 1},
@@ -274,10 +279,12 @@ def _validate(node: dict, value, path: str):
     ``$defs``), ``type``, ``properties``, ``required``,
     ``additionalProperties: false``, ``default``, ``items``,
     ``minItems``/``maxItems``, ``enum``, ``minimum``/``maximum``/
-    ``exclusiveMinimum`` and ``not: {multipleOf}``; a node without ``type``
-    (``{}``) takes any value.  An absent property takes its object's
-    ``default``, or, when it is an object with no required keys, its own
-    defaults.  A failed bound reports the node's ``description`` if it has one.
+    ``exclusiveMinimum`` and ``not: {multipleOf}`` or ``not: {const}``; a
+    node without ``type`` (``{}``) takes any value.  An absent property takes
+    its object's ``default``, or, when it is an object with no required keys,
+    its own defaults, validated like a given value (so the result holds a
+    copy, never the schema's own object).  A failed bound reports the node's
+    ``description``, if it has one, after the path.
     """
     if "$ref" in node:
         node = _DEFS[node["$ref"].rpartition("/")[2]]
@@ -300,10 +307,8 @@ def _validate(node: dict, value, path: str):
         for key, sub in props.items():
             if key in value:
                 out[key] = _validate(sub, value[key], f"{path}.{key}")
-            elif key in default:
-                out[key] = default[key]
-            elif sub.get("type") == "object" and not sub["required"]:
-                out[key] = _validate(sub, {}, f"{path}.{key}")
+            elif key in default or sub.get("type") == "object" and not sub["required"]:
+                out[key] = _validate(sub, default.get(key, {}), f"{path}.{key}")
         return out
     if kind == "array":
         if not isinstance(value, list):
@@ -328,7 +333,8 @@ def _validate(node: dict, value, path: str):
     if kind == "number":
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected a number")
-        if not math.isfinite(value):
+        # an int literal past the float range fails here too, not in float()
+        if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{path}: must be finite")
         _check_bounds(node, float(value), path)
         return float(value)
@@ -336,15 +342,20 @@ def _validate(node: dict, value, path: str):
 
 
 def _check_bounds(node, value, path):
-    msg = node.get("description")
+    neg = node.get("not", {})
     if "minimum" in node and value < node["minimum"]:
-        raise ConfigError(msg or f"{path}: must be >= {node['minimum']}")
-    if "maximum" in node and value > node["maximum"]:
-        raise ConfigError(msg or f"{path}: must be <= {node['maximum']}")
-    if "exclusiveMinimum" in node and value <= node["exclusiveMinimum"]:
-        raise ConfigError(msg or f"{path}: must be > {node['exclusiveMinimum']}")
-    if "not" in node and value % node["not"]["multipleOf"] == 0:
-        raise ConfigError(msg or f"{path}: must not be a multiple of {node['not']['multipleOf']}")
+        bound = f"must be >= {node['minimum']}"
+    elif "maximum" in node and value > node["maximum"]:
+        bound = f"must be <= {node['maximum']}"
+    elif "exclusiveMinimum" in node and value <= node["exclusiveMinimum"]:
+        bound = f"must be > {node['exclusiveMinimum']}"
+    elif "multipleOf" in neg and value % neg["multipleOf"] == 0:
+        bound = f"must not be a multiple of {neg['multipleOf']}"
+    elif "const" in neg and value == neg["const"]:
+        bound = f"must not be {neg['const']}"
+    else:
+        return
+    raise ConfigError(f"{path}: {node.get('description', bound)}")
 
 
 def json_schema(command: str) -> dict:
@@ -361,6 +372,12 @@ class RunConfig:
     seed: int = 0
     output: str | None = None
     format: str = "json"
+    # the runner's inputs, built from the payload and never set apart from it;
+    # they hold numpy arrays, whose == is elementwise, and the payload states them
+    inputs: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.inputs = _build_inputs(self.command, self.payload)
 
     def to_dict(self) -> dict:
         d = {"command": self.command, "seed": self.seed, "format": self.format,
@@ -373,8 +390,11 @@ class RunConfig:
 def parse_config(text, command: str | None = None) -> RunConfig:
     """Parse and validate a config document; defaults are filled in.
 
-    Unknown keys are rejected with the offending path.  ``command`` (from the
-    CLI subcommand) may supply or must match the document's command field.
+    The shape is checked against the command's schema, then the runner's
+    inputs are built by the domain constructors; either refusal is a
+    ``ConfigError`` naming the offending path, unknown keys included.
+    ``command`` (from the CLI subcommand) may supply or must match the
+    document's command field.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -395,6 +415,61 @@ def parse_config(text, command: str | None = None) -> RunConfig:
 
 def serialize_config(config: RunConfig) -> str:
     return json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def _at(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its refusal (``ValueError``, or ``OSError``
+    for a file) is re-raised as a ``ConfigError`` naming ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _build_inputs(command: str, p: dict):
+    """The runner's inputs: the payload with each section built by the
+    constructor that owns its meaning (a ``hyperstab`` experiment whole)."""
+    built = dict(p)
+    if "space" in p:
+        built["space"] = _at("payload.space", space_from_dict, p["space"])
+    if "equation" in p:
+        built["equation"] = _at("payload.equation", EquationParams, **p["equation"])
+    if command == "FIXED_POINT":
+        if "samples" not in p and "samples_csv" not in p:
+            raise ConfigError("payload.samples: either samples or samples_csv is required")
+        # a samples_csv grid meets the rules of the samples list
+        built["samples"] = p["samples"] if "samples" in p else _validate(
+            SCHEMAS["FIXED_POINT"]["properties"]["samples"],
+            _at("payload.samples_csv", load_sample_grid, p["samples_csv"]), "payload.samples_csv")
+        branches = [_at(f"payload.branches[{i}]", Branch, **b)
+                    for i, b in enumerate(p["branches"])]
+        built.update(spec=IterationSpec(branches, built["space"]),
+                     phi=VectorFunction([Term(**t) for t in p["phi"]["terms"]],
+                                        p["phi"]["constant"]),
+                     eps=ScalarErrorFn([(t["c"], t["s"]) for t in p["error_terms"]]))
+    elif command == "SOLVE" and "w" in p and p["theta_coef"] != 0.0:
+        # theta x^(2n) direction + w is one VectorFunction: one length
+        _at("payload.w", VectorFunction, [Term(1.0, 0.0, direction=p["direction"])], p["w"])
+    elif command == "HYPERSTAB":
+        # the majorant's auxiliary space is the space itself unless the
+        # payload names one, and an alpha must be its beta
+        aux = (_at("payload.aux_space", space_from_dict, p["aux_space"]) if "aux_space" in p
+               else built["space"])
+        em, g = p["error_model"], p["error_model"]["g_map"]
+        # ErrorModel owns what a matrix may be; anything else is handed on as one
+        matrix = (None if g == "IDENTITY" else
+                  g["matrix"] if isinstance(g, dict) and list(g) == ["matrix"] else g)
+        model = _at("payload.error_model.g_map", hs.ErrorModel,
+                    tuple(hs.ErrorComponent(**c) for c in em["components"]), aux, matrix)
+        if em.get("alpha", model.alpha) != model.alpha:
+            raise ConfigError(f"payload.error_model.alpha: {em['alpha']} must equal the "
+                              f"auxiliary space's beta = {model.alpha}")
+        same = ("space", "equation", "solution", "perturbation", "grid", "m_values", "m_max",
+                "witnesses")
+        # seed 0 stands in for the run's: --seed may replace the config's after parsing
+        return hs.ExperimentConfig(model=model, **{k: built[k] for k in same},
+                                   **p["tolerances"], seed=0)
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +509,12 @@ def _no_budget(unbudgeted: list, where=None) -> list:
     return [_violation("no error budget", where, entries=unbudgeted)] if unbudgeted else []
 
 
-def _run_check_space(payload, seed):
-    space = space_from_dict(payload["space"])
-    report = check_axioms(space, payload["trials"], seed)
-    kest = estimate_kappa(space, payload["trials"], seed)
+def _run_check_space(inputs, seed):
+    space, trials = inputs["space"], inputs["trials"]
+    report = hs.stage("check_axioms", check_axioms, space, trials, seed)
+    kest = hs.stage("estimate_kappa", estimate_kappa, space, trials, seed)
     body = {"axioms": report.to_dict(), "kappa_estimate": kest,
-            "space": space.to_dict(), "trials": payload["trials"]}
+            "space": space.to_dict(), "trials": trials}
     violations = [_violation("axiom violated", b, count=v["count"])
                   for b, v in body["axioms"]["violations"].items() if v["count"]]
     if report.degenerate == report.trials:
@@ -448,15 +523,16 @@ def _run_check_space(payload, seed):
     return body, violations, {}
 
 
-def _run_envelope(payload, seed):
-    space = space_from_dict(payload["space"])
-    budget = payload["budget"]
-    n_samples = payload["certificate_samples"]
+def _run_envelope(inputs, seed):
+    space = inputs["space"]
+    budget = inputs["budget"]
+    n_samples = inputs["certificate_samples"]
     rng = np.random.default_rng(seed)
     # same stream as drawing x, then z, sample by sample
-    XZ = rng.uniform(-5.0, 5.0, (n_samples, 2, space.dim))
+    XZ = hs.stage("draw_samples", rng.uniform, -5.0, 5.0, (n_samples, 2, space.dim))
     X, Z = XZ[:, 0], XZ[:, 1]
-    results = envelope_norm_rows(space, X, Z, budget, [seed + i for i in range(n_samples)])
+    results = hs.stage("envelope_norm_rows", envelope_norm_rows, space, X, Z, budget,
+                       [seed + i for i in range(n_samples)])
     cert_failures = 0
     worst_gap = 0.0
     for x, base, res in zip(X, eval_norm_rows(space, X, Z).tolist(), results):
@@ -465,7 +541,8 @@ def _run_envelope(payload, seed):
         worst_gap = max(worst_gap, gap)
         if gap > 1e-9 * (1.0 + np.abs(x).max()) or res.value > base + 1e-12 * (1.0 + base):
             cert_failures += 1
-    tri = check_p_triangle(space, payload["trials"], seed, budget=budget)
+    tri = hs.stage("check_p_triangle", check_p_triangle, space, inputs["trials"], seed,
+                   budget=budget)
     body = {"space": space.to_dict(), "certificate_samples": n_samples,
             "certificate_failures": cert_failures, "worst_sum_gap": worst_gap,
             "p_triangle": tri.to_dict()}
@@ -478,21 +555,10 @@ def _run_envelope(payload, seed):
     return body, violations, {}
 
 
-def _run_fixed_point(payload, seed):
-    space = space_from_dict(payload["space"])
-    branches = [Branch(scale=b["scale"], coef=b["coef"], kappa_exp=b["kappa_exp"])
-                for b in payload["branches"]]
-    spec = IterationSpec(branches, space)
-    phi = VectorFunction.from_dict(payload["phi"])
-    eps = ScalarErrorFn([(t["c"], t["s"]) for t in payload["error_terms"]])
-    if "samples" in payload:
-        samples = payload["samples"]
-    elif "samples_csv" in payload:
-        samples = load_sample_grid(payload["samples_csv"])
-    else:
-        raise ConfigError("payload.samples: either samples or samples_csv is required")
-    report = iterate(spec, phi, eps, samples, payload["witnesses"],
-                     tol=payload["tol"], n_max=payload["n_max"])
+def _run_fixed_point(inputs, seed):
+    spec, eps = inputs["spec"], inputs["eps"]
+    report = hs.stage("iterate", iterate, spec, inputs["phi"], eps, inputs["samples"],
+                      inputs["witnesses"], tol=inputs["tol"], n_max=inputs["n_max"])
     violations = [] if report.converged else [
         _violation("not converged", iterations=report.iterations)]
     if not report.eps_star_converged:
@@ -506,18 +572,19 @@ _GRID_ROWS = 1000  # sampled pairs listed in residual_grid.csv
 _RESIDUAL_TOL = 1e-9  # residual over the terms that cancel; an exact solution reads ~1e-15
 
 
-def _run_solve(payload, seed):
-    eq = EquationParams.from_dict(payload["equation"])
+def _run_solve(inputs, seed):
+    eq, grid = inputs["equation"], inputs["grid"]
     try:
-        f = make_solution(eq, payload["theta_coef"], payload.get("w"), payload["direction"])
+        f = make_solution(eq, inputs["theta_coef"], inputs.get("w"), inputs["direction"])
     except NoExactSolutionError as exc:
         return ({"equation": eq.to_dict()},
                 [_violation("no exact solution", failed_constraints=exc.failed)], {})
-    tol = payload["tol"]
-    structure = check_structure(eq, f, payload["grid"])
-    wanted = payload["residual_pairs"]
-    lo, hi = min(map(abs, payload["grid"])), max(map(abs, payload["grid"]))
-    residuals, draws, res = residual_check(eq, f, lo, hi, wanted, np.random.default_rng(seed))
+    tol = inputs["tol"]
+    structure = hs.stage("check_structure", check_structure, eq, f, grid)
+    wanted = inputs["residual_pairs"]
+    lo, hi = min(map(abs, grid)), max(map(abs, grid))
+    residuals, draws, res = hs.stage("residual_check", residual_check, eq, f, lo, hi,
+                                     wanted, np.random.default_rng(seed))
     body = {"equation": eq.to_dict(), "solution": f.to_dict(),
             "structure": structure.to_dict(), **residuals}
     # rows computed only when the CSV is written; one np.linalg.norm per row:
@@ -535,24 +602,9 @@ def _run_solve(payload, seed):
     return body, violations + _pair_shortfall(wanted, residuals), tables
 
 
-def _experiment_config(payload, seed) -> hs.ExperimentConfig:
-    """The experiment of a validated ``hyperstab`` payload; the majorant's
-    auxiliary space is the space itself unless the payload names one."""
-    space = space_from_dict(payload["space"])
-    aux = space_from_dict(payload["aux_space"]) if "aux_space" in payload else space
-    tol = payload["tolerances"]
-    return hs.ExperimentConfig(
-        space=space, equation=EquationParams.from_dict(payload["equation"]),
-        model=hs.ErrorModel.from_dict(payload["error_model"], default_aux=aux),
-        solution=payload["solution"], perturbation=payload["perturbation"],
-        grid=payload["grid"], m_values=payload["m_values"], m_max=payload["m_max"],
-        witnesses=payload["witnesses"], qm_tol=tol["qm_tol"], qm_n_max=tol["qm_n_max"],
-        residual_pairs=tol["residual_pairs"], seed=seed)
-
-
-def _run_hyperstab(payload, seed):
-    cfg = _experiment_config(payload, seed)
-    report = hs.run_experiment(cfg)
+def _run_hyperstab(experiment, seed):
+    cfg = replace(experiment, seed=seed)
+    report = hs.stage("run_experiment", hs.run_experiment, cfg)
     if not report.feasible:
         return report.to_dict(), [_violation("empty M0", m_max=cfg.m_max)], {}
     # no requested m lies in M0: no Q_m was computed and no bound checked
@@ -626,21 +678,11 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
     out_dir = out_dir or config.output or "."
     name = config.command.lower().replace("_", "-")
     try:
-        body, violations, tables = _RUNNERS[config.command](config.payload, config.seed)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
-        # overflow / division by zero in the numeric path: no report is written
-        print(f"error: {name}: numeric failure ({type(exc).__name__}): {exc}",
-              file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        # e.g. a trial count whose sample arrays cannot be allocated
-        print(f"error: {name}: out of memory: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        body, violations, tables = _RUNNERS[config.command](config.inputs, config.seed)
+    except ValueError as exc:
+        # a failed stage (hs.stage), e.g. an overflow, or a trial count whose
+        # arrays cannot be allocated
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
     for w in body.get("warnings", []):
         print(f"warning: {w}", file=sys.stderr)

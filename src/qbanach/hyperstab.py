@@ -37,6 +37,7 @@ powers: every float is an exact rational, so the check is free of rounding.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -48,7 +49,7 @@ from .fixedpoint import (Branch, IterationSpec, _apply_terms, _converge, _multin
                          _term_iterates, bound_table)
 from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction, _sup,
                       admissibility, make_solution, real_root, residual_check, residual_rows)
-from .spaces import SpaceDescriptor, _as_vector, _norm_table, space_from_dict
+from .spaces import SpaceDescriptor, _as_vector, _norm_table
 
 __all__ = [
     "ErrorComponent",
@@ -73,6 +74,20 @@ __all__ = [
 ]
 
 MAX_EXPANSION_ORDER = 40
+
+
+def stage(name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, whose failure names ``name``: a ``ValueError``,
+    ``ArithmeticError`` (a numeric failure) or ``MemoryError`` is re-raised as
+    ``ValueError("<name>: …")``, so nested stages read outermost first."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    except ArithmeticError as exc:
+        raise ValueError(f"{name}: numeric failure ({type(exc).__name__}): {exc}") from exc
+    except MemoryError as exc:
+        raise ValueError(f"{name}: out of memory: {exc}") from exc
 
 
 def sequences(a: float, b: float, m: int, root_n: int = 3):
@@ -129,7 +144,12 @@ class ErrorModel:
             raise ValueError("exactly four components h1..h4 required")
         self.components = comps
         if self.g_matrix is not None:
-            self.g_matrix = np.asarray(self.g_matrix, dtype=float)
+            matrix = None
+            with contextlib.suppress(TypeError, ValueError):  # not an array of numbers
+                matrix = np.asarray(self.g_matrix, dtype=float)
+            if matrix is None or matrix.shape != (3, 3) or not np.isfinite(matrix).all():
+                raise ValueError("g_matrix must be a 3x3 array of finite numbers")
+            self.g_matrix = matrix
 
     @property
     def alpha(self) -> float:
@@ -177,20 +197,6 @@ class ErrorModel:
             "aux_space": self.aux_space.to_dict(),
             "g_map": "IDENTITY" if self.g_matrix is None else {"matrix": self.g_matrix.tolist()},
         }
-
-    @staticmethod
-    def from_dict(d: dict, default_aux: Optional[SpaceDescriptor] = None) -> "ErrorModel":
-        """The model of a config's ``error_model`` section; an ``alpha`` in it
-        must be the auxiliary space's beta, the only value it can take."""
-        aux = space_from_dict(d["aux_space"]) if "aux_space" in d else default_aux
-        if "alpha" in d and d["alpha"] != aux.beta:
-            raise ValueError(f"error_model.alpha = {d['alpha']} must equal the auxiliary "
-                             f"space's beta = {aux.beta}")
-        comps = [ErrorComponent(c=float(c["c"]), p=float(c["p"]), y=c["y"])
-                 for c in d["components"]]
-        g = d["g_map"]
-        matrix = None if g == "IDENTITY" else np.asarray(g["matrix"], dtype=float)
-        return ErrorModel(components=tuple(comps), aux_space=aux, g_matrix=matrix)
 
 
 def s_multiplier(component: ErrorComponent, rho: float, alpha: float) -> float:
@@ -267,10 +273,12 @@ class M0Result:
 def find_M0(eq: EquationParams, model: ErrorModel, space: SpaceDescriptor,
             m_max: int) -> M0Result:
     """Scan m = 2..m_max for P_m < 1; also report the sigma trend and which of
-    the three vanishing-at-infinity conditions hold for the power family."""
+    the three vanishing-at-infinity conditions hold for the power family.  A
+    failure is a ``ValueError`` naming the m."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    all_c = [constants(eq, model, space, m) for m in range(2, m_max + 1)]
+    all_c = [stage(f"find_M0 at m = {m}", constants, eq, model, space, m)
+             for m in range(2, m_max + 1)]
     members = [c.m for c in all_c if c.in_M0]
     min_member = members[0] if members else None
     sigma_dec = False
@@ -518,7 +526,8 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
     """Full hyperstability pipeline: feasible set, Q_m recovery, residual and
     deviation-bound verification (``bound_table`` of ``|f - Q_m, z|^theta``
     against ``theorem_bound_rows`` at K = 1), and the near-diagonal
-    consistency probe."""
+    consistency probe.  A failure in ``find_M0`` or at one checked index is
+    a ``ValueError`` naming the m."""
     warnings = []
     eq, sol, pert = config.equation, config.solution, config.perturbation
     space = config.space
@@ -562,12 +571,9 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
 
     def process(m: int) -> dict:
         cst = consts_by_m[m]
-        try:
-            qm = compute_Qm(eq, f, m, grid, tol=config.qm_tol, n_max=config.qm_n_max,
-                            space=space, witnesses=witnesses,
-                            residual_pairs=config.residual_pairs, seed=config.seed + m)
-        except ValueError as exc:
-            raise ValueError(f"Q_m for m = {m}: {exc}") from exc
+        qm = compute_Qm(eq, f, m, grid, tol=config.qm_tol, n_max=config.qm_n_max,
+                        space=space, witnesses=witnesses,
+                        residual_pairs=config.residual_pairs, seed=config.seed + m)
         qv = np.array(qm.values)
         sup_dev_rel = _sup(np.abs(qv - f0v).max(axis=1) / denom)
         sup_f_qm = _sup(np.abs(fv - qv).max(axis=1))
@@ -583,7 +589,7 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
             "bound_entries": entries,
         }
 
-    per_m = [process(m) for m in selected]
+    per_m = [stage(f"Q_m for m = {m}", process, m) for m in selected]
 
     consistency = _consistency_scan(eq, f, config.model, config.grid, witnesses, space)
     return HyperstabReport(

@@ -95,11 +95,6 @@ class EquationParams:
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d, "root_n": self.root_n}
 
-    @staticmethod
-    def from_dict(d: dict) -> "EquationParams":
-        return EquationParams(a=float(d["a"]), b=float(d["b"]), c=float(d["c"]),
-                              d=float(d["d"]), root_n=int(d["root_n"]))
-
 
 @dataclass(frozen=True)
 class Term:
@@ -179,15 +174,6 @@ class VectorFunction:
             "constant": self.constant.tolist(),
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "VectorFunction":
-        terms = [
-            Term(coef=float(t["coef"]), exponent=float(t["exponent"]),
-                 mode=t["mode"], direction=t["direction"])
-            for t in d["terms"]
-        ]
-        return VectorFunction(terms=terms, constant=d.get("constant"))
-
 
 def admissibility(eq: EquationParams, x: float, y: float):
     """Return (admissible, reason).  Pairs too close to the excluded diagonal
@@ -259,9 +245,11 @@ def make_solution(eq: EquationParams, theta_coef: float, w, direction) -> Vector
     w = np.zeros_like(direction) if w is None else np.asarray(w, dtype=float)
     failed = []
     if theta_coef != 0.0:
-        if not math.isclose(eq.a ** 2, eq.c / 2.0, rel_tol=1e-12, abs_tol=0.0):
+        # a * a, not a ** 2: a square past the float range is inf, which
+        # fails the constraint instead of raising OverflowError
+        if not math.isclose(eq.a * eq.a, eq.c / 2.0, rel_tol=1e-12, abs_tol=0.0):
             failed.append("a^2 = c/2")
-        if not math.isclose(eq.b ** 2, eq.d / 2.0, rel_tol=1e-12, abs_tol=0.0):
+        if not math.isclose(eq.b * eq.b, eq.d / 2.0, rel_tol=1e-12, abs_tol=0.0):
             failed.append("b^2 = d/2")
     if np.any(w != 0.0) and not math.isclose(eq.c + eq.d, 2.0, rel_tol=1e-12, abs_tol=1e-12):
         failed.append("c + d = 2")

@@ -4,13 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances are pinned here, not configurable.
 """
 
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
 
-from qbanach.cli import _experiment_config
 from qbanach.envelope import check_p_triangle, envelope_norm, theta
 from qbanach.fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate
 from qbanach.hyperstab import expand_T_power, run_experiment, sequences
@@ -151,7 +151,8 @@ def test_criterion_6_expansion_oracle():
 def _reference_experiment_config(seed=707):
     payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
     payload["tolerances"]["residual_pairs"] = 1000
-    return _experiment_config(parse_config(make_config("HYPERSTAB", payload)).payload, seed)
+    experiment = parse_config(make_config("HYPERSTAB", payload)).inputs
+    return dataclasses.replace(experiment, seed=seed)
 
 
 def test_criterion_7_hyperstability_recovery():

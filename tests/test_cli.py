@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from qbanach import cli
@@ -110,7 +116,7 @@ def test_check_space_out_of_memory_exits_1_without_report(tmp_path, capsys):
     code = run(cfg, out_dir=str(tmp_path))
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: check-space: out of memory: ")
+    assert err.startswith("error: check-space: check_axioms: out of memory: ")
     assert "Traceback" not in err
     assert not (tmp_path / "check_space_report.json").exists()
 
@@ -131,14 +137,17 @@ def test_run_solve_and_csv(tmp_path):
 
 
 def test_run_solve_reports_failed_constraints(tmp_path):
-    cfg = parse_config(make_config(
-        "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 3.0, "d": 2.0}}))
-    code = run(cfg, out_dir=str(tmp_path))
-    assert code == 2
-    doc = json.loads((tmp_path / "solve_report.json").read_text())
-    assert doc["violations"] == [{"name": "no exact solution", "where": None,
-                                  "failed_constraints": ["a^2 = c/2"]}]
-    assert doc["report"] == {"equation": cfg.payload["equation"]}
+    # a^2 past the float range (a = 1e200) fails the constraint too: it
+    # raised OverflowError and exited 1
+    for a, c in [(1.0, 3.0), (1e200, 2.0)]:
+        cfg = parse_config(make_config(
+            "SOLVE", {"equation": {"a": a, "b": 1.0, "c": c, "d": 2.0}}))
+        code = run(cfg, out_dir=str(tmp_path))
+        assert code == 2
+        doc = json.loads((tmp_path / "solve_report.json").read_text())
+        assert doc["violations"] == [{"name": "no exact solution", "where": None,
+                                      "failed_constraints": ["a^2 = c/2"]}]
+        assert doc["report"] == {"equation": cfg.payload["equation"]}
 
 
 def test_run_fixed_point(tmp_path):
@@ -243,26 +252,36 @@ def test_run_fixed_point_with_csv_samples(tmp_path):
     assert set(doc["report"]["report"]["psi_values"]) == {"0.5", "1.0", "2.0"}
 
 
-def test_fixed_point_with_no_samples_is_refused(tmp_path, capsys):
+def test_fixed_point_with_no_samples_is_refused(tmp_path):
     # an empty sample set was reported converged after 3 steps with K_observed 0
     with pytest.raises(ConfigError, match=r"payload\.samples: at least 1 item"):
         parse_config(make_config("FIXED_POINT", dict(_ONE_BRANCH_FIXED_POINT, samples=[])))
-    csv_path = tmp_path / "empty.csv"
-    csv_path.write_text("")
-    cfg = parse_config(make_config("FIXED_POINT", dict(_ONE_BRANCH_FIXED_POINT,
-                                                       samples_csv=str(csv_path))))
-    assert run(cfg, out_dir=str(tmp_path)) == 1
-    assert capsys.readouterr().err == "error: no sample points: iterate needs at least one\n"
-    assert not (tmp_path / "fixed_point_report.json").exists()
+    # a samples_csv grid meets the rules of the samples list, at parse time
+    for text, message in [("", "payload.samples_csv: at least 1 item(s) required"),
+                          ("0.5\n0\n", "payload.samples_csv[1]: must not be 0"),
+                          ("0.5\nnan\n", "payload.samples_csv[1]: must be finite")]:
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(make_config("FIXED_POINT", dict(_ONE_BRANCH_FIXED_POINT,
+                                                          samples_csv=str(csv_path))))
+        assert str(err.value) == message
+    with pytest.raises(ConfigError, match=r"^payload\.samples: either samples or samples_csv"):
+        parse_config(make_config("FIXED_POINT", _ONE_BRANCH_FIXED_POINT))
 
 
 def test_fixed_point_csv_names_the_file_and_line_of_a_bad_row(tmp_path, capsys):
     csv_path = tmp_path / "samples.csv"
     csv_path.write_text("0.5\n\n1.0\nabc\n2.0\n")
-    cfg = parse_config(make_config("FIXED_POINT", dict(_ONE_BRANCH_FIXED_POINT,
-                                                       samples_csv=str(csv_path))))
-    assert run(cfg, out_dir=str(tmp_path)) == 1
-    assert capsys.readouterr().err == f"error: {csv_path}, line 4: not a number: 'abc'\n"
+    payload = dict(_ONE_BRANCH_FIXED_POINT, samples_csv=str(csv_path))
+    assert _cli_main("FIXED_POINT", payload, tmp_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: payload.samples_csv: {csv_path}, line 4: not a number: 'abc'\n")
+    payload["samples_csv"] = str(tmp_path / "missing.csv")
+    assert _cli_main("FIXED_POINT", payload, tmp_path) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: payload.samples_csv: [Errno 2] No such file or directory")
+    assert not list(tmp_path.glob("*_report.json"))
 
 
 def test_run_envelope(tmp_path):
@@ -441,15 +460,26 @@ def test_solve_with_all_pairs_admissible_has_no_violations(tmp_path):
 
 
 def test_solve_overflow_exits_1_without_traceback(tmp_path, capsys):
-    cfg = parse_config(make_config(
-        "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0},
-                  "grid": [1.0, 1e120]}))
-    code = run(cfg, out_dir=str(tmp_path))
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: solve: ")
-    assert "OverflowError" in err and "Traceback" not in err
-    assert not (tmp_path / "solve_report.json").exists()
+    # x^6 at x = 1e60 is past the float range; the message names the stage
+    for grid in ([1.0, 1e120], [1e60]):
+        cfg = parse_config(make_config(
+            "SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}, "grid": grid}))
+        code = run(cfg, out_dir=str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: solve: check_structure: numeric failure (OverflowError): ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "solve_report.json").exists()
+
+
+def test_hyperstab_overflow_names_the_stage_and_the_m(tmp_path, capsys):
+    # s_3(u^3) = 8^(400) at m = 2 is past the float range
+    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
+    payload["error_model"]["components"][2]["p"] = 400.0
+    assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: hyperstab: run_experiment: find_M0 at m = 2: numeric failure (OverflowError): ")
+    assert not (tmp_path / "hyperstab_report.json").exists()
 
 
 def test_fixed_point_divergence_exits_1_without_report(tmp_path, capsys):
@@ -463,7 +493,7 @@ def test_fixed_point_divergence_exits_1_without_report(tmp_path, capsys):
     code = run(cfg, out_dir=str(tmp_path))
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: fixed-point iteration step ")
+    assert err.startswith("error: fixed-point: iterate: fixed-point iteration step ")
     assert "non-finite iterate" in err and "Traceback" not in err
     assert not (tmp_path / "fixed_point_report.json").exists()
 
@@ -545,8 +575,9 @@ def test_hyperstab_required_keys_only_take_the_schema_defaults(tmp_path):
 def test_hyperstab_alpha_other_than_the_aux_beta_exits_1(tmp_path, capsys):
     payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
     payload["error_model"]["alpha"] = 0.5  # the auxiliary space is CROSS_2NORM, beta 1.0
-    assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) == 1
-    assert capsys.readouterr().err.startswith("error: error_model.alpha = 0.5 must equal")
+    assert _cli_main("HYPERSTAB", payload, tmp_path) == 1
+    assert capsys.readouterr().err == ("error: payload.error_model.alpha: 0.5 must equal the "
+                                       "auxiliary space's beta = 1.0\n")
     assert not (tmp_path / "hyperstab_report.json").exists()
 
 
@@ -583,7 +614,8 @@ def test_hyperstab_diverging_Qm_names_the_index_without_numpy_warnings(tmp_path)
     assert proc.returncode == 1
     # nothing (no numpy RuntimeWarning) before the error line
     assert proc.stderr.startswith(
-        "error: Q_m for m = 2: fixed-point iteration step 96: non-finite iterate"), proc.stderr
+        "error: hyperstab: run_experiment: Q_m for m = 2: fixed-point iteration step 96: "
+        "non-finite iterate"), proc.stderr
     assert not (tmp_path / "hyperstab_report.json").exists()
 
 
@@ -664,7 +696,7 @@ def test_hyperstab_alpha_defaults_to_the_aux_beta(tmp_path):
 def test_a_non_finite_report_number_exits_1_without_a_report(value, tmp_path, capsys,
                                                             monkeypatch):
     # inf and NaN are not JSON tokens: the run names its command and writes nothing
-    monkeypatch.setitem(cli._RUNNERS, "SOLVE", lambda payload, seed: ({"x": value}, [], {}))
+    monkeypatch.setitem(cli._RUNNERS, "SOLVE", lambda inputs, seed: ({"x": value}, [], {}))
     cfg = parse_config(make_config("SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0,
                                                           "d": 2.0}}))
     assert run(cfg, out_dir=str(tmp_path)) == 1
@@ -755,6 +787,117 @@ def test_seed_flag_is_checked_by_the_schema(tmp_path, capsys):
     assert json.loads((tmp_path / "check_space_report.json").read_text())["seed"] == 5
 
 
+def test_an_int_literal_past_the_float_range_is_refused_at_its_path(tmp_path, capsys):
+    # json reads it as a Python int, which float() cannot convert
+    text = make_config("SOLVE", {"equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text.replace('"a": 1.0', '"a": 1' + "0" * 400))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: payload.equation.a: must be finite\n"
+
+
+def test_a_parsed_default_is_a_copy_of_the_schema_default():
+    payload = {key: REFERENCE_HYPERSTAB_PAYLOAD[key]
+               for key in ("space", "equation", "error_model", "grid")}
+    parse_config(make_config("HYPERSTAB", payload)).payload["m_values"].append(7)
+    assert json_schema("HYPERSTAB")["default"]["m_values"] == [2, 3, 5]
+    assert parse_config(make_config("HYPERSTAB", payload)).payload["m_values"] == [2, 3, 5]
+
+
+@pytest.mark.parametrize("g_map", [5, "NOPE", {"matrix": [[1, 0], [0, 1]]},
+                                   {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, None]]},
+                                   {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "extra": 1}])
+def test_hyperstab_g_map_is_identity_or_a_3x3_matrix(g_map):
+    # 5 and "NOPE" escaped cli.run as a TypeError; the 2x2 matrix exited 1
+    # with numpy's matmul message
+    payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
+    payload["error_model"]["g_map"] = g_map
+    with pytest.raises(ConfigError) as err:
+        parse_config(make_config("HYPERSTAB", payload))
+    assert str(err.value) == ("payload.error_model.g_map: "
+                              "g_matrix must be a 3x3 array of finite numbers")
+    payload["error_model"]["g_map"] = {"matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}
+    parse_config(make_config("HYPERSTAB", payload))
+
+
+def test_solve_with_no_theta_term_takes_a_w_of_any_length(tmp_path):
+    # only the theta x^(2n) term pairs w with the direction
+    payload = {"equation": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}, "theta_coef": 0.0,
+               "w": [1.0, 0.0]}
+    assert run(parse_config(make_config("SOLVE", payload)), out_dir=str(tmp_path)) == 0
+    report = json.loads((tmp_path / "solve_report.json").read_text())["report"]
+    assert report["solution"]["constant"] == [1.0, 0.0]
+
+
+def test_run_config_inputs_follow_the_payload():
+    cfg = parse_config(make_config("CHECK_SPACE", {"space": {"family": "CROSS_2NORM"}}))
+    again = RunConfig(cfg.command, cfg.payload, cfg.seed)
+    assert again == cfg and again.inputs["space"] == cfg.inputs["space"]
+    other = dataclasses.replace(cfg, payload=dict(cfg.payload, trials=7))
+    assert other.inputs["trials"] == 7
+
+
+def test_envelope_out_of_memory_exits_1_without_report(tmp_path, capsys):
+    # the certificate samples are drawn before any other stage: 10^15 of them
+    # need 48 PB
+    cfg = parse_config(make_config(
+        "ENVELOPE", {"space": {"family": "CROSS_2NORM"}, "certificate_samples": 10 ** 15}))
+    code = run(cfg, out_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: envelope: draw_samples: out of memory: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "envelope_report.json").exists()
+
+
+def test_fixed_point_with_an_empty_phi_runs(tmp_path):
+    # the zero function: VectorFunction sized an empty phi as R^1, so the run
+    # exited 1 with "dimension mismatch: expected 3, got 1"
+    payload = dict(_FIXED_POINT_PAYLOAD, phi={"terms": []})
+    assert run(parse_config(make_config("FIXED_POINT", payload)), out_dir=str(tmp_path)) == 0
+    report = json.loads((tmp_path / "fixed_point_report.json").read_text())["report"]["report"]
+    assert report["psi_values"] == {str(x): [0.0, 0.0, 0.0] for x in payload["samples"]}
+
+
+_REFUSED = [
+    ("CHECK_SPACE", {"space": {"family": "LP_CROSS"}},
+     "payload.space: LP_CROSS requires p in (0,1]"),
+    ("CHECK_SPACE", {"space": {"family": "POWERED", "beta": 0.5}},
+     "payload.space: POWERED requires a base space"),
+    ("ENVELOPE", {"space": {"family": "POWERED", "beta": 0.5,
+                            "base": {"family": "CROSS_2NORM", "beta": 0.5}}},
+     "payload.space: POWERED base must be a quasi-2-norm (beta = 1)"),
+    ("ENVELOPE", {"space": {"family": "SCALED", "base": {"family": "CROSS_2NORM"}}},
+     "payload.space: SCALED requires a base space and factor C > 0"),
+    ("CHECK_SPACE", {"space": {"family": "CROSS_2NORM", "beta": 1.5}},
+     "payload.space.beta: beta must lie in (0,1]"),
+    ("FIXED_POINT", dict(_FIXED_POINT_PAYLOAD, branches=[{"scale": 2.0, "coef": 0.5},
+                                                         {"scale": 0.0, "coef": 0.5}]),
+     "payload.branches[1]: branch scale must be nonzero and finite"),
+    ("FIXED_POINT", dict(_FIXED_POINT_PAYLOAD, samples=[0.5, -0.0]),
+     "payload.samples[1]: must not be 0"),
+    ("SOLVE", {"equation": {"a": 1.0, "b": 0.0, "c": 2.0, "d": 2.0}},
+     "payload.equation: coefficients a, b, c, d must all be nonzero"),
+    ("SOLVE", {"equation": {"a": 0.6, "b": 0.8, "c": 0.72, "d": 1.28}, "grid": [1.0, 0.0]},
+     "payload.grid[1]: must not be 0"),
+    ("SOLVE", {"equation": {"a": 0.6, "b": 0.8, "c": 0.72, "d": 1.28}, "w": [1.0, 0.0]},
+     "payload.w: all directions and the constant must share one dimension"),
+    ("HYPERSTAB", dict(REFERENCE_HYPERSTAB_PAYLOAD, aux_space={"family": "SCALED"}),
+     "payload.aux_space: SCALED requires a base space and factor C > 0"),
+    ("HYPERSTAB", dict(REFERENCE_HYPERSTAB_PAYLOAD, grid=[0.5, 0.0]),
+     "payload.grid[1]: must not be 0"),
+]
+
+
+@pytest.mark.parametrize("command,payload,message", _REFUSED)
+def test_parse_refuses_what_the_run_would_with_its_path(command, payload, message, tmp_path,
+                                                         capsys):
+    # each of these passed parsing and exited 1 from the run, most with no path
+    assert _cli_main(command, payload, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*_report.json"))
+
+
 # ---------------------------------------------------------------------------
 # configs generated from the JSON Schema itself
 # ---------------------------------------------------------------------------
@@ -773,23 +916,44 @@ def _number_ints(node):
     return st.integers(lo, math.floor(node.get("maximum", 1e6)))
 
 
-def _from_schema(node, spaces=0):
+def _space(depth=1, beta=True):
+    """A space whose keys match its family (the schema's own draws are mostly
+    refused by the constructors); ``beta=False`` leaves beta at its default 1,
+    as a POWERED base needs."""
+    props = _DEFS["space"]["properties"]
+    optional = {k: _from_schema(props[k]) for k in (("beta", "kappa") if beta else ("kappa",))}
+    kinds = [("CROSS_2NORM", {}), ("LP_CROSS", {"p": _from_schema(props["p"])})]
+    if depth < 2:
+        kinds += [("POWERED", {"base": _space(depth + 1, beta=False)}),
+                  ("SCALED", {"base": _space(depth + 1), "factor": _from_schema(props["factor"])})]
+    return st.one_of([st.fixed_dictionaries({"family": st.just(family), **required},
+                                            optional=optional) for family, required in kinds])
+
+
+def _from_schema(node, caps=None):
     """A strategy for the values that a schema node accepts, read off its JSON
-    Schema keywords; a space nests at most two deep."""
-    spaces += "$ref" in node
-    node = _resolve(node)
+    Schema keywords.  ``caps`` maps a property name to keywords that bound it
+    further (e.g. ``{"trials": {"maximum": 200}}``); a capped property is
+    always drawn, so that its default does not stand in for it."""
+    if "$ref" in node:
+        return _space()
+    caps = caps or {}
     kind = node.get("type")
-    if kind is None:  # {}: any JSON value
-        return st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
+    if kind is None:  # {}, the g_map: any JSON value, or one of the two it takes
+        return st.one_of(st.just("IDENTITY"),
+                         st.fixed_dictionaries({"matrix": st.lists(st.lists(
+                             _number_ints({}), min_size=3, max_size=3), min_size=3, max_size=3)}),
+                         st.none(), st.booleans(), st.integers(), st.text(max_size=4))
     if kind == "object":
-        props = node["properties"]
-        optional = {k: _from_schema(v, spaces) for k, v in props.items()
-                    if k not in node["required"] and not ("$ref" in v and spaces >= 2)}
-        return st.fixed_dictionaries({k: _from_schema(props[k], spaces) for k in node["required"]},
+        props = {k: {**_resolve(v), **caps[k]} if k in caps else v
+                 for k, v in node["properties"].items()}
+        required = [k for k in props if k in node["required"] or k in caps]
+        optional = {k: _from_schema(v, caps) for k, v in props.items() if k not in required}
+        return st.fixed_dictionaries({k: _from_schema(props[k], caps) for k in required},
                                      optional=optional)
     if kind == "array":
         lo = node.get("minItems", 0)
-        return st.lists(_from_schema(node["items"], spaces), min_size=lo,
+        return st.lists(_from_schema(node["items"], caps), min_size=lo,
                         max_size=node.get("maxItems", lo + 2))
     if kind == "string":
         return st.sampled_from(node["enum"]) if "enum" in node else st.text(max_size=8)
@@ -799,16 +963,17 @@ def _from_schema(node, spaces=0):
     floats = st.floats(min_value=node.get("exclusiveMinimum", node.get("minimum")),
                        max_value=node.get("maximum"), exclude_min="exclusiveMinimum" in node,
                        allow_nan=False, allow_infinity=False)
-    return st.one_of(floats, _number_ints(node))
+    numbers = st.one_of(floats, _number_ints(node))
+    return numbers.filter(lambda v: v != node["not"]["const"]) if "not" in node else numbers
 
 
-def _config_doc(command):
+def _config_doc(command, caps=None):
     """A config document: ``cli._TOP`` with the command fixed and the payload
     drawn from the command's schema."""
     top = {**cli._TOP, "properties": {**cli._TOP["properties"],
                                       "command": {"type": "string", "enum": [command]},
                                       "payload": json_schema(command)}}
-    return _from_schema(top)
+    return _from_schema(top, caps)
 
 
 def _objects(node, value, path):
@@ -824,15 +989,26 @@ def _objects(node, value, path):
             yield from _objects(node["items"], item, f"{path}[{i}]")
 
 
+# a failure reports its document unshrunk: shrinking these nested documents
+# takes minutes
+_GENERATED = settings(derandomize=True, deadline=None, database=None, phases=[Phase.generate],
+                      suppress_health_check=[HealthCheck.too_slow])
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-@settings(derandomize=True, max_examples=20, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(_GENERATED, max_examples=20)
 @given(data=st.data())
 def test_generated_configs_round_trip_and_refuse_unknown_keys(command, data):
     doc = data.draw(_config_doc(command))
-    config = parse_config(json.dumps(doc))
-    assert parse_config(serialize_config(config)) == config
-    # one extra key at an object of the document names its path
+    try:
+        config = parse_config(json.dumps(doc))
+    except ConfigError as err:
+        # the shape is the schema's, so only building the inputs refuses it
+        assert str(err).startswith("payload.")
+    else:
+        assert parse_config(serialize_config(config)) == config
+    # one extra key at an object of the document names its path: the shape
+    # is checked before anything is built
     objects = [("config", cli._TOP["properties"]),
                *_objects(SCHEMAS[command], doc["payload"], "payload")]
     path, props = data.draw(st.sampled_from(objects))
@@ -845,6 +1021,43 @@ def test_generated_configs_round_trip_and_refuse_unknown_keys(command, data):
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert str(err.value) == f"unknown key at {path}.{key}"
+
+
+# sizes that keep one generated run within milliseconds
+_RUN_CAPS = {"trials": {"maximum": 200}, "budget": {"maximum": 16},
+             "certificate_samples": {"maximum": 20}, "m_max": {"maximum": 8},
+             "residual_pairs": {"maximum": 50}, "grid": {"maxItems": 4},
+             "samples": {"maxItems": 4}, "n_max": {"maximum": 50}, "qm_n_max": {"maximum": 50}}
+# the stage a run names first when it fails (run_experiment's own name the m)
+_STAGE = re.compile(r"(check_axioms|estimate_kappa|envelope_norm_rows|check_p_triangle|iterate"
+                    r"|check_structure|residual_check|run_experiment"
+                    r"|non-finite number in the report): ")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(_GENERATED, max_examples=10)
+@given(data=st.data())
+def test_generated_configs_run_to_a_report_or_a_named_stage(command, data):
+    try:
+        config = parse_config(json.dumps(data.draw(_config_doc(command, _RUN_CAPS))))
+    except ConfigError:
+        return
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        # numpy's overflow warnings stay warnings, as on the command line
+        # (pyproject's pytest settings make them errors)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = run(config, out_dir=tmp)  # no exception escapes
+        reports = os.listdir(tmp)
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    name = command.lower().replace("_", "-")
+    if code == 1:
+        (line,) = errors
+        assert line.startswith(f"error: {name}: ") and _STAGE.match(line, len(name) + 9), line
+        assert not reports
+    else:
+        assert code in (0, 2) and not errors
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbanach.cli import _experiment_config, parse_config
+from qbanach.cli import parse_config
 from qbanach.fixedpoint import _term_multiplier
 from qbanach.hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig,
                                HyperstabConstants, compute_Qm, constants,
@@ -57,13 +57,22 @@ def test_sequences_rejects_small_m():
         sequences(1.0, 1.0, 1)
 
 
+def parsed_model(d):
+    """The model of a ``hyperstab`` config whose error model and auxiliary
+    space are ``ErrorModel.to_dict``'s ``d``."""
+    payload = {"space": {"family": "CROSS_2NORM"}, "aux_space": d["aux_space"],
+               "equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}, "grid": [1.0],
+               "error_model": {k: d[k] for k in ("alpha", "components", "g_map")}}
+    return parse_config(json.dumps({"command": "HYPERSTAB", "payload": payload})).inputs.model
+
+
 def test_error_model_alpha_is_the_aux_beta():
     # the majorant is measured in the auxiliary (2, alpha)-norm, so alpha is
     # that space's beta
     aux = power_space(cross_2norm(), 0.5)
     model = ErrorModel(components=reference_model().components, aux_space=aux)
     assert model.alpha == 0.5
-    assert model.to_dict()["alpha"] == 0.5 and ErrorModel.from_dict(model.to_dict()).alpha == 0.5
+    assert model.to_dict()["alpha"] == 0.5 and parsed_model(model.to_dict()).alpha == 0.5
 
 
 def test_s_multiplier_closed_form():
@@ -498,15 +507,13 @@ def test_experiment_config_wires_aux_space():
             {"c": 1.0, "p": -1.0, "y": [1.0, 1.0, 0.0]} for _ in range(4)]},
         "grid": [1.0, 2.0],
     }
-    cfg = _experiment_config(parse_config(json.dumps({"command": "HYPERSTAB",
-                                                      "payload": d})).payload, 0)
+    cfg = parse_config(json.dumps({"command": "HYPERSTAB", "payload": d})).inputs
     assert cfg.model.aux_space.family == "POWERED"
     assert cfg.model.alpha == 0.5
     assert cfg.space.family == "CROSS_2NORM"
     # without aux_space the majorant is measured in the space itself
     del d["aux_space"], d["error_model"]["alpha"]
-    cfg = _experiment_config(parse_config(json.dumps({"command": "HYPERSTAB",
-                                                      "payload": d})).payload, 0)
+    cfg = parse_config(json.dumps({"command": "HYPERSTAB", "payload": d})).inputs
     assert cfg.model.aux_space == cfg.space and cfg.model.alpha == 1.0
 
 
@@ -522,8 +529,11 @@ def test_error_model_fixed_linear_g_map():
     assert model.h(1, 2.0, z) == pytest.approx(ident.h(1, 2.0, g @ z), rel=1e-14)
     d = model.to_dict()
     assert d["g_map"]["matrix"] == g.tolist()
-    again = ErrorModel.from_dict(d)
+    again = parsed_model(d)
     assert again.h(3, 1.5, z) == pytest.approx(model.h(3, 1.5, z), rel=1e-14)
+    for bad in ([[1.0, 0.0], [0.0, 1.0]], np.full((3, 3), np.inf), "NOPE"):
+        with pytest.raises(ValueError, match="3x3 array of finite numbers"):
+            ErrorModel(model.components, cross_2norm(), g_matrix=bad)
 
 
 def test_error_model_validation_and_flags():
@@ -532,7 +542,7 @@ def test_error_model_validation_and_flags():
     with pytest.raises(ValueError):
         ErrorModel(components=model.components[:3], aux_space=cross_2norm())
     d = model.to_dict()
-    again = ErrorModel.from_dict(d)
+    again = parsed_model(d)
     assert again.to_dict() == d
 
 
