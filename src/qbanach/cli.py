@@ -123,7 +123,8 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "space": _SPACE_REF,
-            "trials": {"type": "integer", "minimum": 1},
+            # memory is O(block) at any count, so time bounds it: 10^8 take ~2 min
+            "trials": {"type": "integer", "minimum": 1, "maximum": 100_000_000},
         },
         "required": ["space"],
         "additionalProperties": False,

@@ -25,12 +25,11 @@ rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import SpaceDescriptor, _as_vector, eval_norm_rows, sample_pairs
+from .spaces import SpaceDescriptor, _as_vector, eval_norm_rows, sample_pairs, theta
 
 __all__ = [
     "theta",
@@ -44,15 +43,6 @@ __all__ = [
 MAX_PARTS = 8
 _OPENING_T = (0.25, 0.5, 0.75, 1.0, 1.25)  # opening split sizes, in units of |x|
 _TRIALS_PER_SEARCH = 256  # trials per batched search in check_p_triangle
-
-
-def theta(beta: float, kappa: float) -> float:
-    """The exponent ``beta * log_{2 kappa} 2``; lies in (0, beta]."""
-    if not (0.0 < beta <= 1.0):
-        raise ValueError("beta must lie in (0,1]")
-    if not (math.isfinite(kappa) and kappa >= 1.0):
-        raise ValueError("kappa must be finite and >= 1")
-    return beta * math.log(2.0) / math.log(2.0 * kappa)
 
 
 @dataclass

@@ -17,14 +17,17 @@ degenerate branches of the axioms and the extremal quasi-triangle ratios are
 actually exercised.  All sampling is deterministic given the seed, and the
 first ``n`` samples of a run with more trials are a prefix of the longer run.
 
-Memory: ``check_axioms`` holds O(trials) rows for B1-B3 (the homogeneity
-factors are drawn after all the pairs), and O(block) rows for B4 and
-``kappa_observed``, as does ``estimate_kappa``: their triples are drawn and
-evaluated in row blocks, which give the rows of one whole-array draw.
+Memory: every stage of ``check_axioms`` (B1, B2/B3, B4 with
+``kappa_observed``) and ``estimate_kappa`` holds O(block) rows, whatever the
+trial count: the samples are drawn and evaluated ``_TRIPLE_BLOCK`` rows at a
+time, and the blocks are the rows of one whole-array draw.  B3's homogeneity
+factors follow all the pairs in the stream, so they come from a copy of the
+generator advanced past the pairs (``PCG64.advance``).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,6 +37,7 @@ import numpy as np
 __all__ = [
     "SpaceDescriptor",
     "AxiomReport",
+    "theta",
     "cross_2norm",
     "lp_cross",
     "power_space",
@@ -65,6 +69,20 @@ def _as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
+def theta(beta: float, kappa: float) -> float:
+    """The exponent ``beta * log_{2 kappa} 2``; lies in (0, beta]."""
+    if not (0.0 < beta <= 1.0):
+        raise ValueError("beta must lie in (0,1]")
+    if not (math.isfinite(kappa) and kappa >= 1.0):
+        raise ValueError("kappa must be finite and >= 1")
+    th = beta * math.log(2.0) / math.log(2.0 * kappa)
+    if not th > 0.0:
+        # 2 kappa overflows (kappa near 9e307), or beta is too small
+        raise ValueError(f"theta = beta * log_(2 kappa) 2 underflows to 0 at "
+                         f"beta = {beta!r}, kappa = {kappa!r}")
+    return th
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """A concrete quasi-(2,beta)-normed space.
@@ -84,10 +102,8 @@ class SpaceDescriptor:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown space family {self.family!r}")
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError("beta must lie in (0,1]")
-        if not (math.isfinite(self.kappa) and self.kappa >= 1.0):
-            raise ValueError("kappa must be finite and >= 1")
+        # beta in (0,1], a finite kappa >= 1 and a theta the envelope can use
+        theta(self.beta, self.kappa)
         if self.family == "LP_CROSS":
             if self.p is None or not (0.0 < self.p <= 1.0):
                 raise ValueError("LP_CROSS requires p in (0,1]")
@@ -226,6 +242,7 @@ def _norm_table(space: SpaceDescriptor, X, witnesses) -> np.ndarray:
 # equality stress), 10% axis-frame (x, y, z near distinct signed coordinate
 # axes; extremal quasi-triangle ratios for l^p cross norms).
 _DRAWS_PER_TRIPLE = 32
+_DRAWS_PER_PAIR = 12  # uniforms per row of sample_pairs
 
 
 def sample_triples(rng: np.random.Generator, n: int, box: float = 10.0):
@@ -236,9 +253,8 @@ def sample_triples(rng: np.random.Generator, n: int, box: float = 10.0):
     several calls are the rows of one call.
     """
     U = rng.random((n, _DRAWS_PER_TRIPLE))
-    X = box * (2.0 * U[:, 0:3] - 1.0)
-    Y = box * (2.0 * U[:, 3:6] - 1.0)
-    Z = box * (2.0 * U[:, 6:9] - 1.0)
+    XYZ = box * (2.0 * U[:, 0:9] - 1.0)
+    X, Y, Z = XYZ[:, 0:3], XYZ[:, 3:6], XYZ[:, 6:9]
     mix = U[:, 9]
 
     # each structured component is computed on its own rows only
@@ -274,7 +290,7 @@ def sample_pairs(rng: np.random.Generator, n: int, box: float = 10.0):
     Returns (X, Y, near) where ``near`` marks the near-dependent mixture.
     Like ``sample_triples``, one fixed-width row is consumed per pair.
     """
-    U = rng.random((n, 12))
+    U = rng.random((n, _DRAWS_PER_PAIR))
     X = box * (2.0 * U[:, 0:3] - 1.0)
     Y = box * (2.0 * U[:, 3:6] - 1.0)
     near = U[:, 6] >= 0.90
@@ -342,37 +358,69 @@ class AxiomReport:
         }
 
 
-def _record_worst(slot: AxiomViolations, mask: np.ndarray, severity: np.ndarray, make_witness):
-    idx = np.nonzero(mask)[0]
+# Rows per block of every sampled stage: samples are drawn and evaluated block
+# by block, so ``check_axioms`` and ``estimate_kappa`` hold O(block) rows.
+_TRIPLE_BLOCK = 8192
+
+
+def _blocks(trials: int):
+    """The row counts of consecutive blocks of ``trials`` rows."""
+    for start in range(0, trials, _TRIPLE_BLOCK):
+        yield min(_TRIPLE_BLOCK, trials - start)
+
+
+def _row_lengths(A):
+    """Euclidean lengths of the rows of an (n, 3) array, bit-identical to
+    ``np.linalg.norm(A, axis=1)`` without its slow length-3 reduce."""
+    a0, a1, a2 = A[:, 0], A[:, 1], A[:, 2]
+    return np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+
+
+def _norms(stage: str, space: SpaceDescriptor, X, Y) -> np.ndarray:
+    """``eval_norm_rows(space, X, Y)``, or a ValueError naming ``stage`` and
+    the first pair whose norm is inf or NaN: every comparison with such a
+    norm is false, so it would pass each axiom as clean."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = eval_norm_rows(space, X, Y)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{stage}: the norm of x = {X[i].tolist()}, y = {Y[i].tolist()} "
+                         f"is {vals[i]}, not finite")
+    return vals
+
+
+def _fold_worst(slot: AxiomViolations, bad: np.ndarray, severity: np.ndarray, key: str,
+                make_witness):
+    """Count a block's ``bad`` rows into ``slot``.  The block's most severe
+    row replaces the worst witness so far (whose ``key`` holds its severity)
+    only when strictly more severe, so the earliest row keeps a tie across
+    blocks as ``np.argmax`` does within one."""
+    idx = np.flatnonzero(bad)
     slot.count += int(idx.size)
     if idx.size:
-        w = idx[np.argmax(severity[idx])]
-        slot.worst = make_witness(int(w))
+        i = int(idx[np.argmax(severity[idx])])
+        if slot.worst is None or severity[i] > slot.worst[key]:
+            slot.worst = make_witness(i)
 
 
 def _triangle_ratios(space: SpaceDescriptor, X, Y, Z):
     """Per-row ratios ``|x, y+z| / (|x, y| + |x, z|)`` (0 where the denominator
     is degenerate) and the mask of nondegenerate rows."""
-    num = eval_norm_rows(space, X, Y + Z)
-    den = eval_norm_rows(space, X, Y) + eval_norm_rows(space, X, Z)
-    scale = (np.linalg.norm(X, axis=1) *
-             np.maximum(np.linalg.norm(Y, axis=1), np.linalg.norm(Z, axis=1))) ** space.beta
+    num = _norms("B4", space, X, Y + Z)
+    den = _norms("B4", space, X, Y) + _norms("B4", space, X, Z)
+    scale = (_row_lengths(X) * np.maximum(_row_lengths(Y), _row_lengths(Z))) ** space.beta
     valid = den > 1e-12 * (1.0 + scale)
     ratio = np.zeros_like(num)
     ratio[valid] = num[valid] / den[valid]
     return ratio, valid
 
 
-# Rows per block of the B4 and kappa stages: their triples are drawn and
-# evaluated block by block, so those stages hold O(block) rows, not O(trials).
-_TRIPLE_BLOCK = 8192
-
-
 def _triangle_blocks(space: SpaceDescriptor, rng: np.random.Generator, trials: int):
     """Yield ``(X, Y, Z, ratio, valid)`` for consecutive row blocks of
     ``trials`` triples; the blocks are the rows of one ``sample_triples`` call."""
-    for start in range(0, trials, _TRIPLE_BLOCK):
-        X, Y, Z = sample_triples(rng, min(_TRIPLE_BLOCK, trials - start))
+    for n in _blocks(trials):
+        X, Y, Z = sample_triples(rng, n)
         yield (X, Y, Z, *_triangle_ratios(space, X, Y, Z))
 
 
@@ -384,8 +432,8 @@ def check_axioms(space: SpaceDescriptor, trials: int, seed: int) -> AxiomReport:
     slack ``REL_TOL * (1 + |x,y|)``, and B4 against the *declared* kappa with
     relative slack ``REL_TOL``.  Deterministic given the seed.
 
-    The stages draw from one generator in this order; each frees its rows
-    before the next starts.
+    The stages draw from one generator in this order, each one row block at
+    a time.  A norm that is not finite ends the run with a ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -399,60 +447,61 @@ def check_axioms(space: SpaceDescriptor, trials: int, seed: int) -> AxiomReport:
 
 def _check_b1(space: SpaceDescriptor, rng, trials: int, report: AxiomReport):
     """B1 on exactly dependent pairs."""
-    Xd, Yd, t = _dependent_pairs(rng, trials)
-    vals = eval_norm_rows(space, Xd, Yd)
-    scale = (np.linalg.norm(Xd, axis=1) * np.linalg.norm(Yd, axis=1)) ** space.beta
-    bad = vals > REL_TOL * (1.0 + scale)
-    _record_worst(report.b1, bad, vals, lambda i: {
-        "x": Xd[i].tolist(), "y": Yd[i].tolist(), "lambda": float(t[i]), "value": float(vals[i]),
-    })
+    for n in _blocks(trials):
+        Xd, Yd, t = _dependent_pairs(rng, n)
+        vals = _norms("B1", space, Xd, Yd)
+        scale = (_row_lengths(Xd) * _row_lengths(Yd)) ** space.beta
+        _fold_worst(report.b1, vals > REL_TOL * (1.0 + scale), vals, "value", lambda i: {
+            "x": Xd[i].tolist(), "y": Yd[i].tolist(), "lambda": float(t[i]),
+            "value": float(vals[i]),
+        })
 
 
 def _check_b2_b3(space: SpaceDescriptor, rng, trials: int, report: AxiomReport):
-    """B2 and B3 on the pair mixture; ``lam`` is drawn after all the pairs."""
-    X, Y, near = sample_pairs(rng, trials)
-    lam = rng.uniform(-10.0, 10.0, trials)
-    lam[np.abs(lam) < 1e-3] = 1.0
-    v_xy = eval_norm_rows(space, X, Y)
-    v_yx = eval_norm_rows(space, Y, X)
-    d_sym = np.abs(v_xy - v_yx)
-    bad2 = d_sym > EXACT_TOL
-    _record_worst(report.b2, bad2, d_sym, lambda i: {
-        "x": X[i].tolist(), "y": Y[i].tolist(), "diff": float(d_sym[i]),
-    })
+    """B2 and B3 on the pair mixture.
 
-    # homogeneity is measured on the generic population: the near-dependent
-    # mixture targets B1/B4 edge cases, and its cross products are rounding
-    # noise, which the comparison would count as spurious at small beta
-    v_lam = eval_norm_rows(space, lam[:, None] * X, Y)
-    expected = np.abs(lam) ** space.beta * v_xy
-    d_hom = np.abs(v_lam - expected)
-    bad3 = ~near & (d_hom > REL_TOL * (1.0 + v_xy))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio3 = np.where(v_xy > 0, v_lam / v_xy, 0.0)
-    _record_worst(report.b3, bad3, d_hom, lambda i: {
-        "x": X[i].tolist(), "y": Y[i].tolist(), "lambda": float(lam[i]),
-        "measured_ratio": float(ratio3[i]), "expected_ratio": float(np.abs(lam[i]) ** space.beta),
-        "error": float(d_hom[i]),
-    })
+    The stream holds all the pairs, then all the factors ``lam``.  Each
+    double of ``random`` and ``uniform`` takes one 64-bit word of PCG64, so
+    ``lam`` is drawn block by block from a copy of ``rng`` advanced past the
+    pairs' ``_DRAWS_PER_PAIR * trials`` words, and ``rng`` ends at the copy's
+    final state, where B4's triples start.
+    """
+    lam_rng = copy.deepcopy(rng)
+    lam_rng.bit_generator.advance(_DRAWS_PER_PAIR * trials)
+    for n in _blocks(trials):
+        X, Y, near = sample_pairs(rng, n)
+        lam = lam_rng.uniform(-10.0, 10.0, n)
+        lam[np.abs(lam) < 1e-3] = 1.0
+        v_xy = _norms("B2", space, X, Y)
+        d_sym = np.abs(v_xy - _norms("B2", space, Y, X))
+        _fold_worst(report.b2, d_sym > EXACT_TOL, d_sym, "diff", lambda i: {
+            "x": X[i].tolist(), "y": Y[i].tolist(), "diff": float(d_sym[i]),
+        })
+
+        # homogeneity is measured on the generic population: the near-dependent
+        # mixture targets B1/B4 edge cases, and its cross products are rounding
+        # noise, which the comparison would count as spurious at small beta
+        v_lam = _norms("B3", space, lam[:, None] * X, Y)
+        d_hom = np.abs(v_lam - np.abs(lam) ** space.beta * v_xy)
+        bad3 = ~near & (d_hom > REL_TOL * (1.0 + v_xy))
+        _fold_worst(report.b3, bad3, d_hom, "error", lambda i: {
+            "x": X[i].tolist(), "y": Y[i].tolist(), "lambda": float(lam[i]),
+            "measured_ratio": float(v_lam[i] / v_xy[i]) if v_xy[i] > 0 else 0.0,
+            "expected_ratio": float(np.abs(lam[i]) ** space.beta), "error": float(d_hom[i]),
+        })
+    rng.bit_generator.state = lam_rng.bit_generator.state
 
 
 def _check_b4(space: SpaceDescriptor, rng, trials: int, report: AxiomReport):
-    """B4, ``kappa_observed`` and ``degenerate`` on the triple mixture, one
-    row block at a time."""
+    """B4, ``kappa_observed`` and ``degenerate`` on the triple mixture."""
     for Xt, Yt, Zt, ratio, valid in _triangle_blocks(space, rng, trials):
         report.degenerate += int((~valid).sum())
-        block_max = float(ratio.max())
-        if block_max > report.kappa_observed:
-            report.kappa_observed = block_max
-        idx = np.nonzero(valid & (ratio > space.kappa * (1.0 + REL_TOL)))[0]
-        report.b4.count += int(idx.size)
-        if idx.size:
-            # the earliest row keeps a tie, across blocks as np.argmax does within one
-            i = int(idx[np.argmax(ratio[idx])])
-            if report.b4.worst is None or ratio[i] > report.b4.worst["ratio"]:
-                report.b4.worst = {"x": Xt[i].tolist(), "y": Yt[i].tolist(),
-                                   "z": Zt[i].tolist(), "ratio": float(ratio[i])}
+        report.kappa_observed = max(report.kappa_observed, float(ratio.max()))
+        bad = valid & (ratio > space.kappa * (1.0 + REL_TOL))
+        _fold_worst(report.b4, bad, ratio, "ratio", lambda i: {
+            "x": Xt[i].tolist(), "y": Yt[i].tolist(), "z": Zt[i].tolist(),
+            "ratio": float(ratio[i]),
+        })
 
 
 def estimate_kappa(space: SpaceDescriptor, trials: int, seed: int) -> float:
@@ -460,7 +509,8 @@ def estimate_kappa(space: SpaceDescriptor, trials: int, seed: int) -> float:
 
     Returns the supremum over sampled triples of
     ``|x, y+z| / (|x, y| + |x, z|)``; degenerate denominators are skipped.
-    The true modulus can only be larger, never smaller.
+    The true modulus can only be larger, never smaller.  A norm that is not
+    finite raises a ValueError, as in ``check_axioms``' B4.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

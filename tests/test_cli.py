@@ -108,16 +108,29 @@ def test_run_check_space_without_valid_b4_triples_exits_2(tmp_path):
                                   "degenerate_triples": 200}]
 
 
-def test_check_space_out_of_memory_exits_1_without_report(tmp_path, capsys):
-    # 10^15 trials need 36 PiB of samples, beyond the address space, so the
-    # first allocation fails at once
-    cfg = parse_config(make_config(
-        "CHECK_SPACE", {"space": {"family": "CROSS_2NORM"}, "trials": 10 ** 15}))
-    code = run(cfg, out_dir=str(tmp_path))
+def test_check_space_trials_past_the_bound_are_refused_at_parse(tmp_path, capsys):
+    # every stage holds one row block, so memory no longer stops 10^15 trials:
+    # they would run ~1.2e11 blocks; the schema bounds trials at 10^8
+    payload = {"space": {"family": "CROSS_2NORM"}, "trials": 10 ** 15}
+    assert _cli_main("CHECK_SPACE", payload, tmp_path) == 1
+    assert capsys.readouterr().err == "error: payload.trials: must be <= 100000000\n"
+    assert not (tmp_path / "check_space_report.json").exists()
+
+
+@pytest.mark.parametrize("space", [
+    {"family": "LP_CROSS", "p": 5e-324},
+    {"family": "SCALED", "factor": 1e308, "base": {"family": "CROSS_2NORM"}},
+], ids=["LP_CROSS", "SCALED"])
+def test_check_space_with_non_finite_norms_exits_1_without_report(space, tmp_path, capsys):
+    # 1/p is inf, or the factor overflows: these exited 0 with a clean report
+    cfg = parse_config(make_config("CHECK_SPACE", {"space": space, "trials": 50}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(cfg, out_dir=str(tmp_path))
     err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: check-space: check_axioms: out of memory: ")
-    assert "Traceback" not in err
+    assert code == 1 and not caught
+    assert re.fullmatch(r"error: check-space: check_axioms: B2: the norm of x = \[.+\], "
+                        r"y = \[.+\] is inf, not finite\n", err)
     assert not (tmp_path / "check_space_report.json").exists()
 
 
@@ -886,13 +899,23 @@ _REFUSED = [
      "payload.aux_space: SCALED requires a base space and factor C > 0"),
     ("HYPERSTAB", dict(REFERENCE_HYPERSTAB_PAYLOAD, grid=[0.5, 0.0]),
      "payload.grid[1]: must not be 0"),
+    # 2 kappa overflows, so theta is 0: envelope exited 1 on a ZeroDivisionError,
+    # fixed-point on "theta must lie in (0,1]", hyperstab on an OverflowError,
+    # and check-space, which never reads theta, exited 0
+    *[(command, dict(payload, space={"family": "CROSS_2NORM", "kappa": 1.3e308}),
+       "payload.space: theta = beta * log_(2 kappa) 2 underflows to 0 at beta = 1.0, "
+       "kappa = 1.3e+308")
+      for command, payload in [("CHECK_SPACE", {}), ("ENVELOPE", {}),
+                               ("FIXED_POINT", _FIXED_POINT_PAYLOAD),
+                               ("HYPERSTAB", REFERENCE_HYPERSTAB_PAYLOAD)]],
 ]
 
 
 @pytest.mark.parametrize("command,payload,message", _REFUSED)
 def test_parse_refuses_what_the_run_would_with_its_path(command, payload, message, tmp_path,
                                                          capsys):
-    # each of these passed parsing and exited 1 from the run, most with no path
+    # each of these passed parsing and, but for check-space's theta case, exited
+    # 1 from the run, most with no path
     assert _cli_main(command, payload, tmp_path) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("*_report.json"))

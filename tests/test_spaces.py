@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbanach import spaces
-from qbanach.spaces import (SpaceDescriptor, check_axioms, cross_2norm, estimate_kappa,
-                            eval_norm, eval_norm_rows, lp_cross, power_space, scaled_space,
-                            space_from_dict)
+from qbanach.spaces import (AxiomViolations, SpaceDescriptor, check_axioms, cross_2norm,
+                            estimate_kappa, eval_norm, eval_norm_rows, lp_cross, power_space,
+                            scaled_space, space_from_dict, theta)
 
 
 def test_unit_cross_product():
@@ -292,6 +294,14 @@ def _oracle_sample_pairs(rng, n, box=10.0):
     return X, Y, near
 
 
+def _record_worst(slot: AxiomViolations, mask: np.ndarray, severity: np.ndarray, make_witness):
+    idx = np.nonzero(mask)[0]
+    slot.count += int(idx.size)
+    if idx.size:
+        w = idx[np.argmax(severity[idx])]
+        slot.worst = make_witness(int(w))
+
+
 def _oracle_check_axioms(space, trials, seed):
     """``check_axioms`` on whole arrays, as it was before the triple stage
     went block by block."""
@@ -302,7 +312,7 @@ def _oracle_check_axioms(space, trials, seed):
     vals = eval_norm_rows(space, Xd, Yd)
     scale = (np.linalg.norm(Xd, axis=1) * np.linalg.norm(Yd, axis=1)) ** space.beta
     bad = vals > spaces.REL_TOL * (1.0 + scale)
-    spaces._record_worst(report.b1, bad, vals, lambda i: {
+    _record_worst(report.b1, bad, vals, lambda i: {
         "x": Xd[i].tolist(), "y": Yd[i].tolist(), "lambda": float(t[i]), "value": float(vals[i]),
     })
 
@@ -312,7 +322,7 @@ def _oracle_check_axioms(space, trials, seed):
     v_xy = eval_norm_rows(space, X, Y)
     v_yx = eval_norm_rows(space, Y, X)
     d_sym = np.abs(v_xy - v_yx)
-    spaces._record_worst(report.b2, d_sym > spaces.EXACT_TOL, d_sym, lambda i: {
+    _record_worst(report.b2, d_sym > spaces.EXACT_TOL, d_sym, lambda i: {
         "x": X[i].tolist(), "y": Y[i].tolist(), "diff": float(d_sym[i]),
     })
     v_lam = eval_norm_rows(space, lam[:, None] * X, Y)
@@ -321,7 +331,7 @@ def _oracle_check_axioms(space, trials, seed):
     bad3 = ~near & (d_hom > spaces.REL_TOL * (1.0 + v_xy))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio3 = np.where(v_xy > 0, v_lam / v_xy, 0.0)
-    spaces._record_worst(report.b3, bad3, d_hom, lambda i: {
+    _record_worst(report.b3, bad3, d_hom, lambda i: {
         "x": X[i].tolist(), "y": Y[i].tolist(), "lambda": float(lam[i]),
         "measured_ratio": float(ratio3[i]), "expected_ratio": float(np.abs(lam[i]) ** space.beta),
         "error": float(d_hom[i]),
@@ -331,7 +341,7 @@ def _oracle_check_axioms(space, trials, seed):
     ratio, valid = spaces._triangle_ratios(space, Xt, Yt, Zt)
     report.degenerate += int((~valid).sum())
     bad4 = valid & (ratio > space.kappa * (1.0 + spaces.REL_TOL))
-    spaces._record_worst(report.b4, bad4, ratio, lambda i: {
+    _record_worst(report.b4, bad4, ratio, lambda i: {
         "x": Xt[i].tolist(), "y": Yt[i].tolist(), "z": Zt[i].tolist(), "ratio": float(ratio[i]),
     })
     report.kappa_observed = float(ratio.max()) if valid.any() else 0.0
@@ -383,8 +393,8 @@ def test_b4_worst_keeps_the_earliest_row_of_a_cross_block_tie(monkeypatch):
     assert rep.kappa_observed == 2.0
 
 
-@pytest.mark.parametrize("sampler", [spaces.sample_triples, spaces.sample_pairs],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("sampler", [spaces.sample_triples, spaces.sample_pairs,
+                                     spaces._dependent_pairs], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("a,b", [(0, 4), (1, 1), (7, 300), (1000, 33)])
 def test_sampler_calls_concatenate_to_one_call(sampler, a, b):
     rng = np.random.default_rng(19)
@@ -401,3 +411,75 @@ def test_sampler_calls_concatenate_to_one_call(sampler, a, b):
 def test_sampler_matches_its_whole_array_oracle_bit_for_bit(sampler, oracle, n):
     for got, want in zip(sampler(np.random.default_rng(n), n), oracle(np.random.default_rng(n), n)):
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _perturb_kernel(monkeypatch):
+    """Patch into ``spaces`` and the oracle a kernel that adds 1 wherever x's
+    first entry exceeds 5 (at each level of a POWERED or SCALED space): it is
+    neither symmetric nor homogeneous, and one constant on those dependent
+    pairs, so all of a space's B1 witnesses tie."""
+    exact = spaces.eval_norm_rows
+
+    def perturbed(space, X, Y):
+        return exact(space, X, Y) + (np.asarray(X)[:, 0] > 5.0)
+
+    monkeypatch.setattr(spaces, "eval_norm_rows", perturbed)
+    monkeypatch.setitem(globals(), "eval_norm_rows", perturbed)
+
+
+@pytest.mark.parametrize("trials", [1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda s: s.family)
+def test_b1_to_b3_folds_match_whole_array_oracle_on_a_broken_kernel(space, trials, monkeypatch):
+    # on the real spaces B1-B3 count 0, so only a broken kernel reaches their folds
+    _perturb_kernel(monkeypatch)
+    got = _assert_matches_oracle(space, trials, seed=trials)["violations"]
+    if trials > 1:
+        assert all(got[b]["count"] > 0 for b in ("B1", "B2", "B3"))
+    if trials > 2 * B:
+        # the tie spans blocks: later blocks hold value-1 rows the fold must not take
+        Xd = spaces._dependent_pairs(np.random.default_rng(trials), trials)[0]
+        assert (Xd[:B, 0] > 5.0).any() and (Xd[B:, 0] > 5.0).any()
+
+
+def _check_axioms_peak(trials):
+    tracemalloc.start()
+    try:
+        check_axioms(lp_cross(0.5), trials, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_axioms_memory_does_not_grow_with_trials():
+    # every stage holds one row block: 20x the trials, about the same peak
+    assert _check_axioms_peak(400_000) <= 1.25 * _check_axioms_peak(20_000)
+
+
+def test_row_lengths_equal_linalg_norm_bit_for_bit():
+    X, Y, Z = spaces.sample_triples(np.random.default_rng(6), 5000)
+    subnormal = np.array([[5e-324, 0.0, -1e-310], [1e-320, -2e-315, 3e-309], [0.0, -0.0, 5e-324]])
+    for A in (X, Y, Z, np.zeros((3, 3)), 1e-8 * X, 1e-310 * Y, subnormal):
+        assert np.array_equal(spaces._row_lengths(A).view(np.int64),
+                              np.linalg.norm(A, axis=1).view(np.int64))
+
+
+@pytest.mark.parametrize("space", [SpaceDescriptor("LP_CROSS", p=5e-324),
+                                   scaled_space(cross_2norm(), 1e308)],
+                         ids=["LP_CROSS", "SCALED"])
+def test_a_non_finite_norm_ends_the_run_naming_its_stage(space):
+    # 1/p is inf, or the factor overflows: every comparison with an inf or a
+    # NaN norm is false, so these ran clean with kappa 0.0
+    pair = r"the norm of x = \[.+\], y = \[.+\] is inf, not finite"
+    with pytest.raises(ValueError, match=f"^B2: {pair}$"):
+        check_axioms(space, 50, seed=0)
+    with pytest.raises(ValueError, match=f"^B4: {pair}$"):
+        estimate_kappa(space, 50, seed=0)
+
+
+def test_a_space_whose_theta_underflows_is_refused():
+    # 2 kappa overflows to inf, so theta = beta * log 2 / log(2 kappa) is 0
+    with pytest.raises(ValueError, match="theta = beta \\* log_\\(2 kappa\\) 2 underflows"):
+        SpaceDescriptor("CROSS_2NORM", kappa=1.3e308)
+    with pytest.raises(ValueError, match="underflows to 0 at beta = 5e-324, kappa = 1e\\+300"):
+        theta(5e-324, 1e300)
+    assert theta(1.0, 8e307) > 0.0
