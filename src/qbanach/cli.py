@@ -134,9 +134,11 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "space": _SPACE_REF,
-            "trials": {"type": "integer", "minimum": 1},
-            "certificate_samples": {"type": "integer", "minimum": 0},
-            "budget": {"type": "integer", "minimum": 1},
+            # O(trials) memory; at budget 12 a trial takes ~0.3 ms and a
+            # certificate sample ~0.1 ms, at budget 40 ~11 ms and ~4 ms
+            "trials": {"type": "integer", "minimum": 1, "maximum": 100_000},
+            "certificate_samples": {"type": "integer", "minimum": 0, "maximum": 100_000},
+            "budget": {"type": "integer", "minimum": 1, "maximum": 40},
         },
         "required": ["space"],
         "additionalProperties": False,
@@ -167,7 +169,8 @@ SCHEMAS = {
             "samples_csv": {"type": "string"},
             "witnesses": {"type": "array", "items": _VEC3, "minItems": 1},
             "tol": {"type": "number", "exclusiveMinimum": 0.0},
-            "n_max": {"type": "integer", "minimum": 1},
+            # a step takes ~0.2 ms at 3 samples, in memory that does not grow
+            "n_max": {"type": "integer", "minimum": 1, "maximum": 100_000},
         },
         "required": ["space", "branches", "phi", "error_terms"],
         "additionalProperties": False,
@@ -183,7 +186,8 @@ SCHEMAS = {
             "direction": _VEC,
             "grid": _POINTS,
             "tol": {"type": "number", "exclusiveMinimum": 0.0},
-            "residual_pairs": {"type": "integer", "minimum": 0},
+            # ~25 us and ~0.6 KB a pair
+            "residual_pairs": {"type": "integer", "minimum": 0, "maximum": 100_000},
         },
         "required": ["equation"],
         "additionalProperties": False,
@@ -237,14 +241,16 @@ SCHEMAS = {
             },
             "grid": _POINTS,
             "m_values": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-            "m_max": {"type": "integer", "minimum": 2},
+            # ~0.15 ms and ~1 KB of report and CSV an index
+            "m_max": {"type": "integer", "minimum": 2, "maximum": 10_000},
             "witnesses": {"type": "array", "items": _VEC3, "minItems": 1},
             "tolerances": {
                 "type": "object",
                 "properties": {
                     "qm_tol": {"type": "number", "exclusiveMinimum": 0.0},
-                    "qm_n_max": {"type": "integer", "minimum": 1},
-                    "residual_pairs": {"type": "integer", "minimum": 0},
+                    # per checked m: ~0.3 ms a step, ~25 us and ~0.6 KB a pair
+                    "qm_n_max": {"type": "integer", "minimum": 1, "maximum": 100_000},
+                    "residual_pairs": {"type": "integer", "minimum": 0, "maximum": 100_000},
                 },
                 "required": [],
                 "additionalProperties": False,
@@ -514,8 +520,7 @@ def _run_check_space(inputs, seed):
     space, trials = inputs["space"], inputs["trials"]
     report = hs.stage("check_axioms", check_axioms, space, trials, seed)
     kest = hs.stage("estimate_kappa", estimate_kappa, space, trials, seed)
-    body = {"axioms": report.to_dict(), "kappa_estimate": kest,
-            "space": space.to_dict(), "trials": trials}
+    body = {"axioms": report.to_dict(), "kappa_estimate": kest}
     violations = [_violation("axiom violated", b, count=v["count"])
                   for b, v in body["axioms"]["violations"].items() if v["count"]]
     if report.degenerate == report.trials:
@@ -544,8 +549,7 @@ def _run_envelope(inputs, seed):
             cert_failures += 1
     tri = hs.stage("check_p_triangle", check_p_triangle, space, inputs["trials"], seed,
                    budget=budget)
-    body = {"space": space.to_dict(), "certificate_samples": n_samples,
-            "certificate_failures": cert_failures, "worst_sum_gap": worst_gap,
+    body = {"certificate_failures": cert_failures, "worst_sum_gap": worst_gap,
             "p_triangle": tri.to_dict()}
     violations = []
     if cert_failures:
@@ -566,7 +570,7 @@ def _run_fixed_point(inputs, seed):
         rho, s = max((rho, s) for (c, s), rho in zip(eps.terms, eps.rates(spec)) if c > 0)
         violations.append(_violation("divergent eps_star", rho=rho, exponent=s))
     violations += _no_budget(report.unbudgeted)
-    return {"spec": spec.to_dict(), "report": report.to_dict()}, violations, {}
+    return report.to_dict(), violations, {}
 
 
 _GRID_ROWS = 1000  # sampled pairs listed in residual_grid.csv
@@ -578,16 +582,14 @@ def _run_solve(inputs, seed):
     try:
         f = make_solution(eq, inputs["theta_coef"], inputs.get("w"), inputs["direction"])
     except NoExactSolutionError as exc:
-        return ({"equation": eq.to_dict()},
-                [_violation("no exact solution", failed_constraints=exc.failed)], {})
+        return {}, [_violation("no exact solution", failed_constraints=exc.failed)], {}
     tol = inputs["tol"]
     structure = hs.stage("check_structure", check_structure, eq, f, grid)
     wanted = inputs["residual_pairs"]
     lo, hi = min(map(abs, grid)), max(map(abs, grid))
     residuals, draws, res = hs.stage("residual_check", residual_check, eq, f, lo, hi,
                                      wanted, np.random.default_rng(seed))
-    body = {"equation": eq.to_dict(), "solution": f.to_dict(),
-            "structure": structure.to_dict(), **residuals}
+    body = {"solution": f.to_dict(), "structure": structure.to_dict(), **residuals}
     # rows computed only when the CSV is written; one np.linalg.norm per row:
     # a batched norm rounds differently
     adm = iter(res)
@@ -690,6 +692,8 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
     document = {
         "command": config.command,
         "seed": config.seed,
+        # the validated payload, defaults filled in: with command and seed it re-runs
+        "payload": config.payload,
         "violations": violations,
         "report": body,
         "metadata": {

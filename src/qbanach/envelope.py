@@ -54,16 +54,6 @@ class EnvelopeResult:
     c1_observed: float  # value / base norm for this pair (lower-equivalence ratio)
     c2: float = 1.0     # single-term decomposition always admissible
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "certificate": self.certificate,
-            "p": self.p,
-            "theta": self.theta,
-            "c1_observed": self.c1_observed,
-            "c2": self.c2,
-        }
-
 
 def _combine(space: SpaceDescriptor, parts: np.ndarray, z: np.ndarray, r: float) -> float:
     """(sum |x_i, z|^r)^(1/r) for the stacked parts; r = p/beta."""
@@ -241,7 +231,6 @@ class PTriangleReport:
 
     def to_dict(self) -> dict:
         return {
-            "trials": self.trials,
             "violations": self.violations,
             "degenerate": self.degenerate,
             "worst": self.worst,

@@ -77,7 +77,9 @@ class IterationSpec:
     ``power_hints`` optionally carries exact ``root_n``-th powers of the
     branch scales (e.g. u^3 = m^3/a for the radical substitution): per-term
     multipliers then exponentiate through those values instead of the
-    irrational roots, which keeps exact eigen-multipliers exact in fp.
+    irrational roots.  A multiplier that is 1 in exact arithmetic may still
+    not be 1 in fp: for a, b, c, d = 0.6, 0.8, 0.72, 1.28 the sextic term's
+    float sum is 1 + 5.8e-11 at m = 7 (0.72 is not 2 * 0.6^2 in binary).
     """
 
     branches: tuple
@@ -106,15 +108,6 @@ class IterationSpec:
     @property
     def theta(self) -> float:
         return theta(self.space.beta, self.space.kappa)
-
-    def to_dict(self) -> dict:
-        return {
-            "branches": [
-                {"scale": br.scale, "coef": br.coef, "kappa_exp": br.kappa_exp}
-                for br in self.branches
-            ],
-            "space": self.space.to_dict(),
-        }
 
 
 @dataclass

@@ -121,9 +121,6 @@ class ErrorComponent:
             raise ValueError("component coefficient must be nonnegative")
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
 
-    def to_dict(self) -> dict:
-        return {"c": self.c, "p": self.p, "y": self.y.tolist()}
-
 
 @dataclass
 class ErrorModel:
@@ -190,14 +187,6 @@ class ErrorModel:
     def gamma(self, tx: float, ty: float, z) -> float:
         return float(self.gamma_rows([tx], [ty], [z])[0, 0])
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "components": [comp.to_dict() for comp in self.components],
-            "aux_space": self.aux_space.to_dict(),
-            "g_map": "IDENTITY" if self.g_matrix is None else {"matrix": self.g_matrix.tolist()},
-        }
-
 
 def s_multiplier(component: ErrorComponent, rho: float, alpha: float) -> float:
     """Scaling multiplier of a power component: ``|rho|^(alpha p)``."""
@@ -263,7 +252,6 @@ class M0Result:
     def to_dict(self) -> dict:
         return {
             "members": self.members,
-            "min_member": self.min_member,
             "sigma_decreasing": self.sigma_decreasing,
             "limit_conditions": self.limit_conditions,
             "constants": [c.to_dict() for c in self.all_constants],
@@ -459,44 +447,28 @@ class ExperimentConfig:
     residual_pairs: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space.to_dict(),
-            "equation": self.equation.to_dict(),
-            "error_model": self.model.to_dict(),
-            "solution": self.solution,
-            "perturbation": self.perturbation,
-            "grid": list(self.grid),
-            "m_values": list(self.m_values),
-            "m_max": self.m_max,
-            "witnesses": [list(map(float, w)) for w in self.witnesses],
-            "tolerances": {"qm_tol": self.qm_tol, "qm_n_max": self.qm_n_max,
-                           "residual_pairs": self.residual_pairs},
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class HyperstabReport:
-    feasible: bool
     m0: M0Result
     theta: float
     per_m: list
     consistency: dict
     warnings: list
-    config: dict
     unbudgeted: dict = field(default_factory=dict)  # m -> bound_table's, not in the body
     f0_values: list = field(default_factory=list)  # f0 on the grid, not in the body
 
+    @property
+    def feasible(self) -> bool:
+        return bool(self.m0.members)
+
     def to_dict(self) -> dict:
         return {
-            "feasible": self.feasible,
             "m0": self.m0.to_dict(),
             "theta": self.theta,
             "per_m": self.per_m,
             "consistency": self.consistency,
             "warnings": self.warnings,
-            "config": self.config,
         }
 
 
@@ -551,9 +523,8 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
     m0 = find_M0(eq, config.model, space, config.m_max)
     if not m0.members:
         return HyperstabReport(
-            feasible=False, m0=m0, theta=th, per_m=[],
+            m0=m0, theta=th, per_m=[],
             consistency={}, warnings=warnings + ["M0 is empty; no iteration performed"],
-            config=config.to_dict(),
         )
 
     selected = [m for m in config.m_values if m in m0.members]
@@ -593,7 +564,6 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
 
     consistency = _consistency_scan(eq, f, config.model, config.grid, witnesses, space)
     return HyperstabReport(
-        feasible=True, m0=m0, theta=th, per_m=per_m,
-        consistency=consistency, warnings=warnings, config=config.to_dict(),
+        m0=m0, theta=th, per_m=per_m, consistency=consistency, warnings=warnings,
         unbudgeted=unbudgeted, f0_values=f0v.tolist(),
     )

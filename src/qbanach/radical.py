@@ -92,9 +92,6 @@ class EquationParams:
     def root_b(self) -> float:
         return real_root(self.b, self.root_n)
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d, "root_n": self.root_n}
-
 
 @dataclass(frozen=True)
 class Term:
@@ -273,13 +270,12 @@ class StructureReport:
     """
 
     deviations: dict
-    grid_size: int
 
     def max_deviation(self) -> float:
         return max(self.deviations.values()) if self.deviations else 0.0
 
     def to_dict(self) -> dict:
-        return {"deviations": self.deviations, "grid_size": self.grid_size}
+        return {"deviations": self.deviations}
 
 
 def check_structure(eq: EquationParams, f, grid: Sequence[float]) -> StructureReport:
@@ -313,7 +309,7 @@ def check_structure(eq: EquationParams, f, grid: Sequence[float]) -> StructureRe
         dev["scale_ab"] = max(dev["scale_ab"], float(np.abs(f0(rab * x) - (eq.c * eq.d / 4.0) * f0(x)).max()))
         if power_key in dev and x > 0:
             dev[power_key] = max(dev[power_key], float(np.abs(f0(x) - x ** (2 * n) * f0_one).max()))
-    return StructureReport(deviations=dev, grid_size=len(grid))
+    return StructureReport(deviations=dev)
 
 
 def sample_admissible_pairs(eq: EquationParams, lo: float, hi: float, n: int,

@@ -121,19 +121,9 @@ class SpaceDescriptor:
         """Every space is on R^3 (the cross product's), so vectors have 3 entries."""
         return 3
 
-    def to_dict(self) -> dict:
-        d = {"family": self.family, "beta": self.beta, "kappa": self.kappa}
-        if self.family == "LP_CROSS":
-            d["p"] = self.p
-        if self.family == "SCALED":
-            d["factor"] = self.factor
-        if self.base is not None:
-            d["base"] = self.base.to_dict()
-        return d
-
 
 def space_from_dict(d: dict) -> SpaceDescriptor:
-    """The space of a validated config section, or of ``to_dict``'s output."""
+    """The space of a validated config section (``beta`` and ``kappa`` filled in)."""
     return SpaceDescriptor(
         family=d["family"],
         beta=float(d["beta"]),
@@ -345,7 +335,6 @@ class AxiomReport:
 
     def to_dict(self) -> dict:
         return {
-            "trials": self.trials,
             "violations": {
                 "B1": self.b1.to_dict(),
                 "B2": self.b2.to_dict(),
@@ -354,7 +343,6 @@ class AxiomReport:
             },
             "kappa_observed": self.kappa_observed,
             "degenerate": self.degenerate,
-            "total_violations": self.total_violations,
         }
 
 

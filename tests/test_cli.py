@@ -77,9 +77,13 @@ def test_run_check_space_clean(tmp_path):
     code = run(cfg, out_dir=str(tmp_path))
     assert code == 0
     doc = json.loads((tmp_path / "check_space_report.json").read_text())
-    assert doc["report"]["axioms"]["total_violations"] == 0
+    assert all(v["count"] == 0 for v in doc["report"]["axioms"]["violations"].values())
     assert doc["violations"] == []
     assert "timestamp" in doc["metadata"]
+    # the input is recorded once, in the document, and the body holds results only
+    assert doc["payload"] == cfg.payload == {"space": {"family": "CROSS_2NORM", "beta": 1.0,
+                                                       "kappa": 1.0}, "trials": 2000}
+    assert set(doc["report"]) == {"axioms", "kappa_estimate"}
 
 
 def test_run_check_space_underdeclared_kappa_exits_2(tmp_path):
@@ -103,9 +107,45 @@ def test_run_check_space_without_valid_b4_triples_exits_2(tmp_path):
     assert run(cfg, out_dir=str(tmp_path)) == 2
     doc = json.loads((tmp_path / "check_space_report.json").read_text())
     assert doc["report"]["axioms"]["degenerate"] == 200
-    assert doc["report"]["axioms"]["total_violations"] == 0
+    assert all(v["count"] == 0 for v in doc["report"]["axioms"]["violations"].values())
     assert doc["violations"] == [{"name": "no valid B4 triples", "where": None,
                                   "degenerate_triples": 200}]
+
+
+# (command, path) of every count a config sets, with the largest value that a
+# bench job or the default uses; _RUN_CAPS's caps are checked against it too
+_COUNTS = {("CHECK_SPACE", "trials"): 100_000, ("ENVELOPE", "trials"): 10_000,
+           ("ENVELOPE", "certificate_samples"): 1000, ("ENVELOPE", "budget"): 12,
+           ("FIXED_POINT", "n_max"): 200, ("SOLVE", "residual_pairs"): 1000,
+           ("HYPERSTAB", "m_max"): 12, ("HYPERSTAB", "tolerances.qm_n_max"): 60,
+           ("HYPERSTAB", "tolerances.residual_pairs"): 1000}
+
+
+def _integer_nodes(node, path):
+    """(path, node) of every integer in a schema, list items as ``[]``; a
+    space (``$ref``) holds none."""
+    if node.get("type") == "integer":
+        yield path, node
+    for key, sub in node.get("properties", {}).items():
+        yield from _integer_nodes(sub, f"{path}.{key}".lstrip("."))
+    if "items" in node:
+        yield from _integer_nodes(node["items"], f"{path}[]")
+
+
+def test_every_count_a_config_sets_has_a_maximum():
+    # a count sets how long a run takes or how much it holds, so the schema
+    # bounds each; an index or an exponent (m_values, root_n) bounds no loop
+    unbounded = []
+    for command in COMMANDS:
+        for path, node in _integer_nodes(SCHEMAS[command], ""):
+            if (command, path) in _COUNTS:
+                used = max(_COUNTS[command, path],
+                           _RUN_CAPS.get(path.rpartition(".")[2], {}).get("maximum", 0))
+                assert node.get("maximum", -1) >= used, (command, path)
+            elif "maximum" not in node:
+                unbounded.append((command, path))
+    assert sorted(unbounded) == [("HYPERSTAB", "equation.root_n"), ("HYPERSTAB", "m_values[]"),
+                                 ("SOLVE", "equation.root_n")]
 
 
 def test_check_space_trials_past_the_bound_are_refused_at_parse(tmp_path, capsys):
@@ -160,7 +200,7 @@ def test_run_solve_reports_failed_constraints(tmp_path):
         doc = json.loads((tmp_path / "solve_report.json").read_text())
         assert doc["violations"] == [{"name": "no exact solution", "where": None,
                                       "failed_constraints": ["a^2 = c/2"]}]
-        assert doc["report"] == {"equation": cfg.payload["equation"]}
+        assert doc["report"] == {} and doc["payload"] == cfg.payload
 
 
 def test_run_fixed_point(tmp_path):
@@ -177,9 +217,10 @@ def test_run_fixed_point(tmp_path):
     code = run(cfg, out_dir=str(tmp_path))
     assert code == 0
     doc = json.loads((tmp_path / "fixed_point_report.json").read_text())
-    assert doc["report"]["report"]["converged"]
-    assert doc["report"]["report"]["K_observed"] <= 1 + 1e-6
+    assert doc["report"]["converged"]
+    assert doc["report"]["K_observed"] <= 1 + 1e-6
     assert doc["violations"] == []
+    assert doc["payload"] == cfg.payload and "spec" not in doc["report"]
 
 
 def test_run_fixed_point_divergent_eps_star_exits_2(tmp_path):
@@ -195,8 +236,8 @@ def test_run_fixed_point_divergent_eps_star_exits_2(tmp_path):
     }
     assert run(parse_config(make_config("FIXED_POINT", payload)), out_dir=str(tmp_path)) == 2
     doc = json.loads((tmp_path / "fixed_point_report.json").read_text())
-    assert doc["report"]["report"]["converged"]
-    assert not doc["report"]["report"]["eps_star_converged"]
+    assert doc["report"]["converged"]
+    assert not doc["report"]["eps_star_converged"]
     assert doc["violations"] == [{"name": "divergent eps_star", "where": None,
                                   "rho": 2.0, "exponent": 1.0}]
 
@@ -218,7 +259,7 @@ def test_fixed_point_without_error_budget_exits_2_without_nan(error_terms, tmp_p
     text = (tmp_path / "fixed_point_report.json").read_text()
     assert "NaN" not in text
     doc = json.loads(text)
-    report = doc["report"]["report"]
+    report = doc["report"]
     assert report["K_observed"] is None
     assert all(e["rhs_unit_K"] == 0.0 and "bound" not in e for e in report["bound_entries"])
     assert doc["violations"] == [{
@@ -262,7 +303,9 @@ def test_run_fixed_point_with_csv_samples(tmp_path):
                                                        samples_csv=str(csv_path))))
     assert run(cfg, out_dir=str(tmp_path)) == 0
     doc = json.loads((tmp_path / "fixed_point_report.json").read_text())
-    assert set(doc["report"]["report"]["psi_values"]) == {"0.5", "1.0", "2.0"}
+    assert set(doc["report"]["psi_values"]) == {"0.5", "1.0", "2.0"}
+    # the payload names the file, not the grid read from it
+    assert doc["payload"]["samples_csv"] == str(csv_path) and "samples" not in doc["payload"]
 
 
 def test_fixed_point_with_no_samples_is_refused(tmp_path):
@@ -307,6 +350,8 @@ def test_run_envelope(tmp_path):
     doc = json.loads((tmp_path / "envelope_report.json").read_text())
     assert doc["report"]["certificate_failures"] == 0
     assert doc["report"]["p_triangle"]["violations"] == 0
+    assert doc["payload"]["budget"] == 6 and doc["payload"] == cfg.payload
+    assert set(doc["report"]) == {"certificate_failures", "worst_sum_gap", "p_triangle"}
 
 
 def test_run_hyperstab_and_determinism(tmp_path):
@@ -322,8 +367,9 @@ def test_run_hyperstab_and_determinism(tmp_path):
     b1 = json.dumps(d1, sort_keys=True)
     b2 = json.dumps(d2, sort_keys=True)
     assert b1 == b2
-    assert d1["report"]["feasible"]
+    assert d1["report"]["m0"]["members"]
     assert d1["violations"] == []
+    assert d1["payload"] == cfg.payload and "config" not in d1["report"]
 
 
 @pytest.mark.parametrize("m_values", [[], [13]])
@@ -333,7 +379,7 @@ def test_hyperstab_with_no_index_checked_exits_2_with_violation(m_values, tmp_pa
     assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) == 2
     doc = json.loads((tmp_path / "hyperstab_report.json").read_text())
     report = doc["report"]
-    assert report["feasible"] and report["per_m"] == []
+    assert report["per_m"] == []
     assert doc["violations"] == [{"name": "no index checked", "where": None,
                                   "requested": m_values, "m0_members": report["m0"]["members"]}]
     assert report["m0"]["members"]
@@ -576,7 +622,7 @@ def test_hyperstab_required_keys_only_take_the_schema_defaults(tmp_path):
     payload = {key: REFERENCE_HYPERSTAB_PAYLOAD[key]
                for key in ("space", "equation", "error_model", "grid")}
     assert run(parse_config(make_config("HYPERSTAB", payload)), out_dir=str(tmp_path)) == 0
-    config = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]["config"]
+    config = json.loads((tmp_path / "hyperstab_report.json").read_text())["payload"]
     schema = json_schema("HYPERSTAB")
     defaults = {**schema["default"], **{key: schema["properties"][key]["default"]
                                         for key in ("solution", "perturbation", "tolerances")}}
@@ -699,10 +745,11 @@ def test_hyperstab_alpha_defaults_to_the_aux_beta(tmp_path):
     del payload["error_model"]["alpha"]
     cfg = parse_config(make_config("HYPERSTAB", payload, seed=7))
     assert "alpha" not in cfg.payload["error_model"]
+    assert cfg.inputs.model.alpha == 0.5
     assert run(cfg, out_dir=str(tmp_path)) == 0
-    report = json.loads((tmp_path / "hyperstab_report.json").read_text())["report"]
-    assert report["config"]["error_model"]["alpha"] == 0.5
-    assert [rec["m"] for rec in report["per_m"]] == [2, 3, 5]
+    doc = json.loads((tmp_path / "hyperstab_report.json").read_text())
+    assert "alpha" not in doc["payload"]["error_model"]
+    assert [rec["m"] for rec in doc["report"]["per_m"]] == [2, 3, 5]
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
@@ -850,16 +897,27 @@ def test_run_config_inputs_follow_the_payload():
     assert other.inputs["trials"] == 7
 
 
-def test_envelope_out_of_memory_exits_1_without_report(tmp_path, capsys):
-    # the certificate samples are drawn before any other stage: 10^15 of them
-    # need 48 PB
-    cfg = parse_config(make_config(
-        "ENVELOPE", {"space": {"family": "CROSS_2NORM"}, "certificate_samples": 10 ** 15}))
-    code = run(cfg, out_dir=str(tmp_path))
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: envelope: draw_samples: out of memory: ")
-    assert "Traceback" not in err
+def test_envelope_counts_past_the_bound_are_refused_at_parse(tmp_path, capsys):
+    # the p-triangle check holds O(trials) memory: 10^8 trials would take
+    # ~20 GB and ~10 h; the draw of 10^15 certificate samples needs 48 PB
+    for key, value, bound in [("trials", 10 ** 8, 100_000),
+                              ("certificate_samples", 10 ** 15, 100_000), ("budget", 41, 40)]:
+        payload = {"space": {"family": "CROSS_2NORM"}, key: value}
+        assert _cli_main("ENVELOPE", payload, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: payload.{key}: must be <= {bound}\n"
+        assert not (tmp_path / "envelope_report.json").exists()
+
+
+def test_a_stage_out_of_memory_exits_1_without_report(tmp_path, capsys, monkeypatch):
+    # a stage that runs out of memory exits 1 naming the stage; no count the
+    # schema admits fails to allocate, so the search raises MemoryError here
+    def search(*args):
+        raise MemoryError("search rows")
+    monkeypatch.setattr(cli, "envelope_norm_rows", search)
+    cfg = parse_config(make_config("ENVELOPE", {"space": {"family": "CROSS_2NORM"}}))
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "error: envelope: envelope_norm_rows: out of memory: search rows\n")
     assert not (tmp_path / "envelope_report.json").exists()
 
 
@@ -868,7 +926,7 @@ def test_fixed_point_with_an_empty_phi_runs(tmp_path):
     # exited 1 with "dimension mismatch: expected 3, got 1"
     payload = dict(_FIXED_POINT_PAYLOAD, phi={"terms": []})
     assert run(parse_config(make_config("FIXED_POINT", payload)), out_dir=str(tmp_path)) == 0
-    report = json.loads((tmp_path / "fixed_point_report.json").read_text())["report"]["report"]
+    report = json.loads((tmp_path / "fixed_point_report.json").read_text())["report"]
     assert report["psi_values"] == {str(x): [0.0, 0.0, 0.0] for x in payload["samples"]}
 
 
@@ -1073,6 +1131,15 @@ def test_generated_configs_run_to_a_report_or_a_named_stage(command, data):
         warnings.simplefilter("ignore", RuntimeWarning)
         code = run(config, out_dir=tmp)  # no exception escapes
         reports = os.listdir(tmp)
+        if code != 1:
+            # the document records its input: command, seed and payload re-run it
+            document = _report_document(tmp, command)
+            assert document["payload"] == config.payload
+            again = parse_config(json.dumps({k: document[k] for k in ("command", "seed",
+                                                                      "payload")}))
+            with tempfile.TemporaryDirectory() as tmp2:
+                assert run(again, out_dir=tmp2) == code
+                assert _report_document(tmp2, command) == document
     errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
     name = command.lower().replace("_", "-")
     if code == 1:
@@ -1081,6 +1148,14 @@ def test_generated_configs_run_to_a_report_or_a_named_stage(command, data):
         assert not reports
     else:
         assert code in (0, 2) and not errors
+
+
+def _report_document(out_dir, command):
+    """The report document written to ``out_dir``, without its ``metadata``."""
+    with open(os.path.join(out_dir, f"{command.lower()}_report.json")) as fh:
+        document = json.load(fh)
+    del document["metadata"]
+    return document
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -140,7 +142,7 @@ def test_p_triangle_degenerate_tally():
 
 def test_envelope_result_serializable():
     res = envelope_norm(lp_cross(0.5), [1, 2, 3], [0, 1, 0], budget=8, seed=0)
-    d = res.to_dict()
+    d = json.loads(json.dumps(dataclasses.asdict(res)))
     assert isinstance(d["certificate"], list)
     assert d["c2"] == 1.0
     assert math.isfinite(d["value"])

@@ -11,7 +11,8 @@ Re-record (only when a change of output is intended, and say so)::
 
 List, per case, the key paths that the current program adds (+), removes
 (-) or changes (~) against the recorded file, with list indices folded to
-``[]`` and a count per path; this writes nothing::
+``[]``, a count per path and, beside a changed number, the largest relative
+change under its path; this writes nothing::
 
     PYTHONPATH=src python tests/test_report_golden.py --diff
 """
@@ -124,6 +125,9 @@ def test_report_body_matches_golden(label, config, tmp_path):
     # floats round-trip through json exactly, so this compares the report text
     assert _canonical(got["document"]) == _canonical(golden["document"])
     assert got["csv"] == golden["csv"]
+    # the document records its input: its command, seed and payload re-run it
+    again = {key: got["document"][key] for key in ("command", "seed", "payload")}
+    assert run_case(again, str(tmp_path / "again"))["document"] == got["document"]
 
 
 def check_bound_table(K_observed, entries, named):
@@ -163,7 +167,7 @@ def test_golden_bound_tables_hold_at_K_observed(label):
     case = _load_golden()[label]
     report, violations = case["document"]["report"], case["document"]["violations"]
     if label.startswith("fixed_point"):
-        tables = [(None, report["report"])]
+        tables = [(None, report)]
     else:
         tables = [(f"m={rec['m']}", rec) for rec in report["per_m"]]
     assert tables and all(t["bound_entries"] for _, t in tables)
@@ -191,23 +195,42 @@ def _fold(path) -> str:
     return "".join("[]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
 
 
+def _relative_change(old: str, new: str):
+    """``|new - old| / max(|old|, |new|)`` of two leaves (JSON texts) that are
+    both numbers, else None."""
+    x, y = json.loads(old), json.loads(new)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+        return None
+    return abs(y - x) / max(abs(x), abs(y)) if x != y else 0.0
+
+
 def diff_paths(old, new) -> list:
-    """``(mark, folded path, count)`` for the leaves that ``new`` adds (+),
-    removes (-) or changes (~) against ``old``, sorted by mark and path."""
+    """``(mark, folded path, count, size)`` for the leaves that ``new`` adds
+    (+), removes (-) or changes (~) against ``old``, sorted by mark and path.
+    ``size`` is the largest relative change of the numbers changed under a
+    ``~`` path, None where none of its changed leaves is a number pair."""
     a, b = _leaves(old), _leaves(new)
-    marks = Counter()
+    marks, sizes = Counter(), {}
     for path in a.keys() | b.keys():
         mark = "-" if path not in b else "+" if path not in a else "~" if a[path] != b[path] else ""
         if mark:
-            marks[mark, _fold(path)] += 1
-    return sorted((mark, path, n) for (mark, path), n in marks.items())
+            key = mark, _fold(path)
+            marks[key] += 1
+            size = _relative_change(a[path], b[path]) if mark == "~" else None
+            if size is not None:
+                sizes[key] = max(size, sizes.get(key, 0.0))
+    return sorted((mark, path, n, sizes.get((mark, path))) for (mark, path), n in marks.items())
 
 
 def test_diff_paths_folds_list_indices_and_counts():
-    old = {"a": [{"x": 1, "y": 2}, {"x": 1, "y": 2}], "b": 1.0, "c": {}}
-    new = {"a": [{"x": 1, "z": 2}, {"x": 3, "z": 2}], "b": 1, "c": {}, "d": []}
-    assert diff_paths(old, new) == [("+", "a[].z", 2), ("+", "d", 1), ("-", "a[].y", 2),
-                                    ("~", "a[].x", 1), ("~", "b", 1)]
+    old = {"a": [{"x": 1, "y": 2}, {"x": 1, "y": 2}], "b": 1.0, "c": {},
+           "e": [4.0, 10.0, -1.0], "s": "x"}
+    new = {"a": [{"x": 1, "z": 2}, {"x": 3, "z": 2}], "b": 1, "c": {}, "d": [],
+           "e": [5.0, 10.5, -1.0], "s": True}
+    assert diff_paths(old, new) == [("+", "a[].z", 2, None), ("+", "d", 1, None),
+                                    ("-", "a[].y", 2, None), ("~", "a[].x", 1, 2 / 3),
+                                    ("~", "b", 1, 0.0), ("~", "e[]", 2, 0.2),
+                                    ("~", "s", 1, None)]
     assert diff_paths(new, new) == []
 
 
@@ -232,8 +255,9 @@ def diff():
         old = {k: old[k] for k in ("config", "exit_code", "document", "csv") if k in old}
         lines = diff_paths(old, {"config": config, **got})
         print(f"{label}:" + ("" if lines else " unchanged"))
-        for mark, path, n in lines:
-            print(f"  {mark} {path}  ({n})")
+        for mark, path, n, size in lines:
+            print(f"  {mark} {path}  ({n})"
+                  + ("" if size is None else f"  largest relative change {size:.3g}"))
 
 
 if __name__ == "__main__":

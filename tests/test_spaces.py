@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbanach import spaces
+from qbanach.cli import parse_config
 from qbanach.spaces import (AxiomViolations, SpaceDescriptor, check_axioms, cross_2norm,
                             estimate_kappa, eval_norm, eval_norm_rows, lp_cross, power_space,
                             scaled_space, space_from_dict, theta)
@@ -78,19 +81,22 @@ def test_every_space_is_on_R3_with_no_dim_field():
     spaces = [cross_2norm(), lp_cross(0.5), power_space(cross_2norm(), 0.5),
               scaled_space(lp_cross(0.5), 2.0)]
     assert [s.dim for s in spaces] == [3] * 4
-    assert all("dim" not in s.to_dict() for s in spaces)
-    cross = cross_2norm().to_dict()
+    assert "dim" not in {f.name for f in dataclasses.fields(SpaceDescriptor)}
+    cross = {"family": "CROSS_2NORM", "beta": 1.0, "kappa": 1.0}
     s = space_from_dict({"family": "SCALED", "beta": 1.0, "kappa": 1.0, "factor": 2.0,
                          "base": cross})
     assert s == scaled_space(cross_2norm(), 2.0)
 
 
 def test_space_json_round_trip():
-    d = {"family": "LP_CROSS", "p": 0.5, "beta": 1.0, "kappa": 2.0}
-    s = space_from_dict(d)
-    assert s.to_dict() == d
-    s2 = power_space(cross_2norm(), 0.25)
-    assert space_from_dict(s2.to_dict()) == s2
+    # a config's space section, as the report document records it, builds
+    # the same space again
+    for d, space in [({"family": "LP_CROSS", "p": 0.5, "kappa": 2.0}, lp_cross(0.5)),
+                     ({"family": "POWERED", "beta": 0.25, "base": {"family": "CROSS_2NORM"}},
+                      power_space(cross_2norm(), 0.25))]:
+        cfg = parse_config(json.dumps({"command": "CHECK_SPACE", "payload": {"space": d}}))
+        recorded = json.loads(json.dumps(cfg.payload["space"]))
+        assert cfg.inputs["space"] == space_from_dict(recorded) == space
 
 
 def test_check_axioms_clean_spaces():
