@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .radical import (EquationParams, NoExactSolutionError, Term, VectorFunction
                       admissibility, check_structure, make_solution, residual_check)
 from .spaces import check_axioms, estimate_kappa, eval_norm_rows, space_from_dict
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config",
-           "run", "emit_csv", "main", "COMMANDS", "VIOLATIONS", "json_schema", "SCHEMAS"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "run", "emit_csv", "main", "COMMANDS",
+           "VIOLATIONS", "json_schema", "SCHEMAS"]
 
 COMMANDS = ("CHECK_SPACE", "ENVELOPE", "FIXED_POINT", "SOLVE", "HYPERSTAB")
 _CLI_NAMES = {
@@ -240,7 +240,9 @@ SCHEMAS = {
                 "default": {"eta": 0.0, "exponent": -3.0, "mode": "ABS"},
             },
             "grid": _POINTS,
-            "m_values": {"type": "array", "items": {"type": "integer", "minimum": 2}},
+            # no m above m_max's bound can be in M0, and a repeat reruns its Q_m
+            "m_values": {"type": "array", "uniqueItems": True,
+                         "items": {"type": "integer", "minimum": 2, "maximum": 10_000}},
             # ~0.15 ms and ~1 KB of report and CSV an index
             "m_max": {"type": "integer", "minimum": 2, "maximum": 10_000},
             "witnesses": {"type": "array", "items": _VEC3, "minItems": 1},
@@ -285,13 +287,14 @@ def _validate(node: dict, value, path: str):
     The keywords read are the ones the schemas use: ``$ref`` (into
     ``$defs``), ``type``, ``properties``, ``required``,
     ``additionalProperties: false``, ``default``, ``items``,
-    ``minItems``/``maxItems``, ``enum``, ``minimum``/``maximum``/
-    ``exclusiveMinimum`` and ``not: {multipleOf}`` or ``not: {const}``; a
-    node without ``type`` (``{}``) takes any value.  An absent property takes
-    its object's ``default``, or, when it is an object with no required keys,
-    its own defaults, validated like a given value (so the result holds a
-    copy, never the schema's own object).  A failed bound reports the node's
-    ``description``, if it has one, after the path.
+    ``minItems``/``maxItems``, ``uniqueItems`` (on arrays of numbers),
+    ``enum``, ``minimum``/``maximum``/``exclusiveMinimum`` and ``not:
+    {multipleOf}`` or ``not: {const}``; a node without ``type`` (``{}``)
+    takes any value.  An absent property takes its object's ``default``, or,
+    when it is an object with no required keys, its own defaults, validated
+    like a given value (so the result holds a copy, never the schema's own
+    object).  A failed bound reports the node's ``description``, if it has
+    one, after the path.
     """
     if "$ref" in node:
         node = _DEFS[node["$ref"].rpartition("/")[2]]
@@ -324,7 +327,10 @@ def _validate(node: dict, value, path: str):
             raise ConfigError(f"{path}: at least {node['minItems']} item(s) required")
         if "maxItems" in node and len(value) > node["maxItems"]:
             raise ConfigError(f"{path}: at most {node['maxItems']} item(s) allowed")
-        return [_validate(node["items"], v, f"{path}[{i}]") for i, v in enumerate(value)]
+        out = [_validate(node["items"], v, f"{path}[{i}]") for i, v in enumerate(value)]
+        if node.get("uniqueItems") and len(set(out)) < len(out):
+            raise ConfigError(f"{path}: items must be unique")
+        return out
     if kind == "string":
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string")
@@ -386,13 +392,6 @@ class RunConfig:
     def __post_init__(self):
         self.inputs = _build_inputs(self.command, self.payload)
 
-    def to_dict(self) -> dict:
-        d = {"command": self.command, "seed": self.seed, "format": self.format,
-             "payload": self.payload}
-        if self.output is not None:
-            d["output"] = self.output
-        return d
-
 
 def parse_config(text, command: str | None = None) -> RunConfig:
     """Parse and validate a config document; defaults are filled in.
@@ -418,10 +417,6 @@ def parse_config(text, command: str | None = None) -> RunConfig:
     payload = _validate(SCHEMAS[top["command"]], top["payload"], "payload")
     return RunConfig(command=top["command"], payload=payload, seed=top["seed"],
                      output=top.get("output"), format=top["format"])
-
-
-def serialize_config(config: RunConfig) -> str:
-    return json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _at(path: str, make, *args, **kwargs):
@@ -499,15 +494,14 @@ def _violation(name: str, where=None, **detail) -> dict:
     return {"name": name, "where": where, **detail}
 
 
-def _pair_shortfall(requested: int, residuals: dict, where=None) -> list:
-    """``[]``, or the record of a residual check (``residual_check``'s record)
-    that drew too few admissible pairs."""
-    admissible = residuals["residual_pairs"]
+def _pair_shortfall(requested: int, admissible: int, drawn: int, where=None) -> list:
+    """``[]``, or the record of a residual check that found fewer than
+    ``requested`` admissible pairs in ``drawn`` draws."""
     if admissible >= requested:
         return []
     return [_violation("no admissible pairs" if admissible == 0 else "too few admissible pairs",
                        where, requested_pairs=requested, admissible_pairs=admissible,
-                       rejected_pairs=residuals["drawn_pairs"] - admissible)]
+                       rejected_pairs=drawn - admissible)]
 
 
 def _no_budget(unbudgeted: list, where=None) -> list:
@@ -520,13 +514,12 @@ def _run_check_space(inputs, seed):
     space, trials = inputs["space"], inputs["trials"]
     report = hs.stage("check_axioms", check_axioms, space, trials, seed)
     kest = hs.stage("estimate_kappa", estimate_kappa, space, trials, seed)
-    body = {"axioms": report.to_dict(), "kappa_estimate": kest}
-    violations = [_violation("axiom violated", b, count=v["count"])
-                  for b, v in body["axioms"]["violations"].items() if v["count"]]
-    if report.degenerate == report.trials:
+    violations = [_violation("axiom violated", b, count=v.count)
+                  for b, v in report.violations.items() if v.count]
+    if report.degenerate == trials:
         # B4 compared no triple: kappa_observed 0.0 and no B4 count mean nothing
         violations.append(_violation("no valid B4 triples", degenerate_triples=report.degenerate))
-    return body, violations, {}
+    return {"axioms": report, "kappa_estimate": kest}, violations, {}
 
 
 def _run_envelope(inputs, seed):
@@ -550,7 +543,7 @@ def _run_envelope(inputs, seed):
     tri = hs.stage("check_p_triangle", check_p_triangle, space, inputs["trials"], seed,
                    budget=budget)
     body = {"certificate_failures": cert_failures, "worst_sum_gap": worst_gap,
-            "p_triangle": tri.to_dict()}
+            "p_triangle": tri}
     violations = []
     if cert_failures:
         violations.append(_violation("certificate failure", count=cert_failures,
@@ -570,7 +563,7 @@ def _run_fixed_point(inputs, seed):
         rho, s = max((rho, s) for (c, s), rho in zip(eps.terms, eps.rates(spec)) if c > 0)
         violations.append(_violation("divergent eps_star", rho=rho, exponent=s))
     violations += _no_budget(report.unbudgeted)
-    return report.to_dict(), violations, {}
+    return report, violations, {}
 
 
 _GRID_ROWS = 1000  # sampled pairs listed in residual_grid.csv
@@ -589,7 +582,7 @@ def _run_solve(inputs, seed):
     lo, hi = min(map(abs, grid)), max(map(abs, grid))
     residuals, draws, res = hs.stage("residual_check", residual_check, eq, f, lo, hi,
                                      wanted, np.random.default_rng(seed))
-    body = {"solution": f.to_dict(), "structure": structure.to_dict(), **residuals}
+    body = {"solution": f, "structure": structure, **residuals}
     # rows computed only when the CSV is written; one np.linalg.norm per row:
     # a batched norm rounds differently
     adm = iter(res)
@@ -602,33 +595,34 @@ def _run_solve(inputs, seed):
     if residuals["sup_residual_scaled"] > _RESIDUAL_TOL:
         violations.append(_violation("residual over tol", tol=_RESIDUAL_TOL,
                                      sup_residual_scaled=residuals["sup_residual_scaled"]))
-    return body, violations + _pair_shortfall(wanted, residuals), tables
+    return body, violations + _pair_shortfall(wanted, residuals["residual_pairs"],
+                                              residuals["drawn_pairs"]), tables
 
 
 def _run_hyperstab(experiment, seed):
     cfg = replace(experiment, seed=seed)
     report = hs.stage("run_experiment", hs.run_experiment, cfg)
     if not report.feasible:
-        return report.to_dict(), [_violation("empty M0", m_max=cfg.m_max)], {}
+        return report, [_violation("empty M0", m_max=cfg.m_max)], {}
     # no requested m lies in M0: no Q_m was computed and no bound checked
     violations = [] if report.per_m else [_violation(
         "no index checked", requested=cfg.m_values, m0_members=report.m0.members)]
-    sweep = [c.to_dict() for c in report.m0.all_constants]
+    sweep = [_json_data(c) for c in report.m0.constants]
     tables = {"constants_sweep": (list(sweep[0]), [list(c.values()) for c in sweep])}
     for rec in report.per_m:
         where, qm = f"m={rec['m']}", rec["qm"]
-        if not qm["converged"]:
-            violations.append(_violation("Q_m not converged", where, iterations=qm["iterations"]))
+        if not qm.converged:
+            violations.append(_violation("Q_m not converged", where, iterations=qm.iterations))
         violations += _no_budget(report.unbudgeted[rec["m"]], where)
-        violations += _pair_shortfall(cfg.residual_pairs, qm, where)
+        violations += _pair_shortfall(cfg.residual_pairs, qm.residual_pairs, qm.drawn_pairs, where)
         # Q_m and f0 on the grid, with their largest componentwise gap
-        dim = len(qm["values"][0])
+        dim = len(qm.values[0])
         header = (["x"] + [f"Qm_{i}" for i in range(dim)]
                   + [f"f0_{i}" for i in range(dim)] + ["abs_dev"])
         tables[f"qm_grid_m{rec['m']}"] = (header, [
             [x] + qv + fv + [max(abs(q - f0c) for q, f0c in zip(qv, fv))]
-            for x, qv, fv in zip(cfg.grid, qm["values"], report.f0_values)])
-    return report.to_dict(), violations, tables
+            for x, qv, fv in zip(cfg.grid, qm.values, report.f0_values)])
+    return report, violations, tables
 
 
 _RUNNERS = {
@@ -676,8 +670,31 @@ def emit_csv(sections: dict, out_dir: str) -> list:
     return paths
 
 
+def _json_data(value):
+    """A report body's JSON data: a dataclass becomes its fields, less those
+    marked ``field(metadata={"body": False})``, an ndarray its ``tolist()``,
+    a mapping gets ``str`` keys (a float key reads as its repr), and lists
+    and tuples are converted item by item."""
+    # the common kinds first: is_dataclass is the slow test
+    if isinstance(value, (float, int, str, type(None))):
+        return value
+    if isinstance(value, dict):
+        return {str(k): _json_data(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_data(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if is_dataclass(value):
+        return {f.name: _json_data(getattr(value, f.name))
+                for f in fields(value) if f.metadata.get("body", True)}
+    return value
+
+
 def run(config: RunConfig, out_dir: str | None = None) -> int:
-    """Execute a validated config; write reports; return the exit code."""
+    """Execute a validated config; write reports; return the exit code.
+
+    A runner returns its body as records (dataclasses, dicts and lists of
+    them), which ``_json_data`` turns into the report's JSON data."""
     out_dir = out_dir or config.output or "."
     name = config.command.lower().replace("_", "-")
     try:
@@ -687,6 +704,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
         # arrays cannot be allocated
         print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
+    body = _json_data(body)
     for w in body.get("warnings", []):
         print(f"warning: {w}", file=sys.stderr)
     document = {

@@ -25,7 +25,7 @@ rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -223,19 +223,11 @@ def envelope_norm(space: SpaceDescriptor, x, z, budget: int, seed: int) -> Envel
 class PTriangleReport:
     """Sampled check of the power triangle inequality for the envelope."""
 
-    trials: int
+    trials: int = field(metadata={"body": False})  # the payload states it
     violations: int
     degenerate: int
     worst: dict | None
     exponent: float
-
-    def to_dict(self) -> dict:
-        return {
-            "violations": self.violations,
-            "degenerate": self.degenerate,
-            "worst": self.worst,
-            "exponent": self.exponent,
-        }
 
 
 def check_p_triangle(space: SpaceDescriptor, trials: int, seed: int, *,

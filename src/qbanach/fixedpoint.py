@@ -228,19 +228,8 @@ class FixedPointReport:
     bound_entries: list = field(default_factory=list)
     theta: float = 1.0
     eps_star_converged: bool = True
-    unbudgeted: list = field(default_factory=list)  # bound_table's, not in the body
-
-    def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "psi_values": {str(k): v for k, v in self.psi_values.items()},
-            "sup_residual": self.sup_residual,
-            "K_observed": self.K_observed,
-            "bound_entries": self.bound_entries,
-            "theta": self.theta,
-            "eps_star_converged": self.eps_star_converged,
-        }
+    # bound_table's; the violations list names them
+    unbudgeted: list = field(default_factory=list, metadata={"body": False})
 
 
 def bound_table(space: SpaceDescriptor, diffs, witnesses, theta_exp: float, rhs_unit,
@@ -287,18 +276,20 @@ def _term_multiplier(spec: IterationSpec, exponent: float, signed: bool) -> floa
 
 def _sup_step(space: SpaceDescriptor, witnesses, old_rows, new_rows, where: str) -> float:
     """Sup over rows and witnesses of ``|new - old, y|`` from one norm call
-    over the rows x witnesses block.  A non-finite difference (a diverged
-    iteration) raises ``ValueError`` naming ``where``, and so does an empty
-    witness list (every step would read 0, so any iteration would look
-    converged)."""
+    over the rows x witnesses block.  A non-finite difference or sup (a
+    diverged iteration: a finite difference can still overflow the norm)
+    raises ``ValueError`` naming ``where``, and so does an empty witness
+    list (every step would read 0, so any iteration would look converged).
+    Callers turn numpy's overflow warnings off around it."""
     delta = np.asarray(new_rows, dtype=float) - np.asarray(old_rows, dtype=float)
     if not np.all(np.isfinite(delta)):
         raise ValueError(f"{where}: non-finite iterate (the iteration diverges)")
     if not len(witnesses):
         raise ValueError(f"{where}: no witnesses to measure the step in the space norm")
-    if delta.size == 0:
-        return 0.0
-    return float(_norm_table(space, delta, witnesses).max())
+    sup = float(_norm_table(space, delta, witnesses).max()) if delta.size else 0.0
+    if not math.isfinite(sup):
+        raise ValueError(f"{where}: non-finite iterate (the iteration diverges)")
+    return sup
 
 
 def _converge(iterates, state, rows, space: SpaceDescriptor, witnesses,
@@ -436,12 +427,13 @@ def iterate(spec: IterationSpec, phi, eps: ScalarErrorFn, sample_xs: Sequence[fl
         iterates, phi, phi_rows, spec.space, witnesses, tol, n_max)
     # the residual partner T psi: on the orbit it is the next level, whose
     # points are the branch shifts of psi's orbit, each evaluated once
-    if generic:
-        tpsi_rows = next(iterates)[1]
-    else:
-        tpsi_rows = [apply_T(spec, psi, x) for x in sample_xs]
-    sup_residual = _sup_step(spec.space, witnesses, psi_rows, tpsi_rows,
-                             "fixed-point residual T psi - psi")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if generic:
+            tpsi_rows = next(iterates)[1]
+        else:
+            tpsi_rows = [apply_T(spec, psi, x) for x in sample_xs]
+        sup_residual = _sup_step(spec.space, witnesses, psi_rows, tpsi_rows,
+                                 "fixed-point residual T psi - psi")
 
     stars = [epsilon_star(spec, eps, x, th) for x in sample_xs]
     K_observed, entries, unbudgeted = bound_table(

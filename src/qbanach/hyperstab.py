@@ -210,11 +210,6 @@ class HyperstabConstants:
     sigma: float
     in_M0: bool
 
-    def to_dict(self) -> dict:
-        return {"m": self.m, "u": self.u, "v": self.v, "w": self.w,
-                "A": self.A, "B": self.B, "C": self.C, "P": self.P,
-                "sigma": self.sigma, "in_M0": self.in_M0}
-
 
 def constants(eq: EquationParams, model: ErrorModel, space: SpaceDescriptor,
               m: int) -> HyperstabConstants:
@@ -244,18 +239,13 @@ def constants(eq: EquationParams, model: ErrorModel, space: SpaceDescriptor,
 @dataclass
 class M0Result:
     members: list
-    min_member: Optional[int]
     sigma_decreasing: bool
     limit_conditions: dict          # vanishing of s1*s2 / s3 / s4 at infinity
-    all_constants: list = field(default_factory=list)
+    constants: list = field(default_factory=list)  # HyperstabConstants, m = 2..m_max
 
-    def to_dict(self) -> dict:
-        return {
-            "members": self.members,
-            "sigma_decreasing": self.sigma_decreasing,
-            "limit_conditions": self.limit_conditions,
-            "constants": [c.to_dict() for c in self.all_constants],
-        }
+    @property
+    def min_member(self) -> Optional[int]:
+        return self.members[0] if self.members else None
 
 
 def find_M0(eq: EquationParams, model: ErrorModel, space: SpaceDescriptor,
@@ -268,22 +258,20 @@ def find_M0(eq: EquationParams, model: ErrorModel, space: SpaceDescriptor,
     all_c = [stage(f"find_M0 at m = {m}", constants, eq, model, space, m)
              for m in range(2, m_max + 1)]
     members = [c.m for c in all_c if c.in_M0]
-    min_member = members[0] if members else None
     sigma_dec = False
-    if min_member is not None:
-        sig_min = next(c.sigma for c in all_c if c.m == min_member)
+    if members:
+        sig_min = next(c.sigma for c in all_c if c.m == members[0])
         sigma_dec = all_c[-1].sigma < sig_min or len(members) == 1
     flags = model.feasibility_flags
     return M0Result(
         members=members,
-        min_member=min_member,
         sigma_decreasing=sigma_dec,
         limit_conditions={
             "A": flags["p1+p2<0"],
             "B": flags["p3<0"],
             "C": flags["p4<0"],
         },
-        all_constants=all_c,
+        constants=all_c,
     )
 
 
@@ -360,24 +348,14 @@ def radical_iteration_spec(eq: EquationParams, m: int, space: Optional[SpaceDesc
 
 @dataclass
 class QmResult:
-    m: int
-    grid: list
     values: list              # Q_m on the grid (list of vectors)
     iterations: int
     converged: bool
-    residuals: dict           # residual_check's record of Q_m
-
-    @property
-    def sup_residual_scaled(self) -> float:
-        return self.residuals["sup_residual_scaled"]
-
-    @property
-    def residual_pairs(self) -> int:
-        return self.residuals["residual_pairs"]
-
-    def to_dict(self) -> dict:
-        return {"values": self.values, "iterations": self.iterations,
-                "converged": self.converged, **self.residuals}
+    # residual_check's record of Q_m
+    sup_residual_scaled: float
+    residual_pairs: int
+    drawn_pairs: int
+    worst_pair: Optional[dict]
 
 
 def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[float], *,
@@ -402,8 +380,8 @@ def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[flo
         [f(x) for x in grid], space, witnesses, tol, n_max)
     residuals, _, _ = residual_check(eq, Qm, min(map(abs, grid)), max(map(abs, grid)),
                                      residual_pairs, np.random.default_rng(seed))
-    return QmResult(m=m, grid=grid, values=[v.tolist() for v in qvals], iterations=iterations,
-                    converged=converged, residuals=residuals)
+    return QmResult(values=[v.tolist() for v in qvals], iterations=iterations,
+                    converged=converged, **residuals)
 
 
 def theorem_bound_rows(model: ErrorModel, consts: HyperstabConstants, theta_exp: float,
@@ -455,21 +433,13 @@ class HyperstabReport:
     per_m: list
     consistency: dict
     warnings: list
-    unbudgeted: dict = field(default_factory=dict)  # m -> bound_table's, not in the body
-    f0_values: list = field(default_factory=list)  # f0 on the grid, not in the body
+    # m -> bound_table's, which the violations list names; f0 on the grid
+    unbudgeted: dict = field(default_factory=dict, metadata={"body": False})
+    f0_values: list = field(default_factory=list, metadata={"body": False})
 
     @property
     def feasible(self) -> bool:
         return bool(self.m0.members)
-
-    def to_dict(self) -> dict:
-        return {
-            "m0": self.m0.to_dict(),
-            "theta": self.theta,
-            "per_m": self.per_m,
-            "consistency": self.consistency,
-            "warnings": self.warnings,
-        }
 
 
 def _consistency_scan(eq: EquationParams, f, model: ErrorModel, grid, witnesses,
@@ -532,7 +502,7 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
     if skipped:
         warnings.append(f"requested m outside M0 skipped: {skipped}")
 
-    consts_by_m = {c.m: c for c in m0.all_constants}
+    consts_by_m = {c.m: c for c in m0.constants}
     unbudgeted = {}
     grid = config.grid
     fv, f0v = f.rows(grid), f0.rows(grid)
@@ -553,7 +523,7 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
             theorem_bound_rows(config.model, cst, th, 1.0, grid, witnesses, eq.root_n), grid)
         return {
             "m": m,
-            "qm": qm.to_dict(),
+            "qm": qm,
             "sup_dev_from_f0_rel": sup_dev_rel,
             "sup_f_minus_Qm": sup_f_qm,
             "K_observed": K_obs,

@@ -161,16 +161,6 @@ class VectorFunction:
             total += np.array([t.scalar(x) for x in xs])[:, None] * t.direction
         return total
 
-    def to_dict(self) -> dict:
-        return {
-            "terms": [
-                {"coef": t.coef, "exponent": t.exponent, "mode": t.mode,
-                 "direction": t.direction.tolist()}
-                for t in self.terms
-            ],
-            "constant": self.constant.tolist(),
-        }
-
 
 def admissibility(eq: EquationParams, x: float, y: float):
     """Return (admissible, reason).  Pairs too close to the excluded diagonal
@@ -273,9 +263,6 @@ class StructureReport:
 
     def max_deviation(self) -> float:
         return max(self.deviations.values()) if self.deviations else 0.0
-
-    def to_dict(self) -> dict:
-        return {"deviations": self.deviations}
 
 
 def check_structure(eq: EquationParams, f, grid: Sequence[float]) -> StructureReport:

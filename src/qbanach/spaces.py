@@ -313,37 +313,19 @@ class AxiomViolations:
     count: int = 0
     worst: Optional[dict] = None
 
-    def to_dict(self) -> dict:
-        return {"count": self.count, "worst": self.worst}
-
 
 @dataclass
 class AxiomReport:
     """Result of a randomized run against the four norm axioms."""
 
-    trials: int
-    b1: AxiomViolations = field(default_factory=AxiomViolations)
-    b2: AxiomViolations = field(default_factory=AxiomViolations)
-    b3: AxiomViolations = field(default_factory=AxiomViolations)
-    b4: AxiomViolations = field(default_factory=AxiomViolations)
+    violations: dict = field(
+        default_factory=lambda: {b: AxiomViolations() for b in ("B1", "B2", "B3", "B4")})
     kappa_observed: float = 0.0
     degenerate: int = 0
 
     @property
     def total_violations(self) -> int:
-        return self.b1.count + self.b2.count + self.b3.count + self.b4.count
-
-    def to_dict(self) -> dict:
-        return {
-            "violations": {
-                "B1": self.b1.to_dict(),
-                "B2": self.b2.to_dict(),
-                "B3": self.b3.to_dict(),
-                "B4": self.b4.to_dict(),
-            },
-            "kappa_observed": self.kappa_observed,
-            "degenerate": self.degenerate,
-        }
+        return sum(v.count for v in self.violations.values())
 
 
 # Rows per block of every sampled stage: samples are drawn and evaluated block
@@ -426,7 +408,7 @@ def check_axioms(space: SpaceDescriptor, trials: int, seed: int) -> AxiomReport:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    report = AxiomReport(trials=trials)
+    report = AxiomReport()
     _check_b1(space, rng, trials, report)
     _check_b2_b3(space, rng, trials, report)
     _check_b4(space, rng, trials, report)
@@ -439,7 +421,8 @@ def _check_b1(space: SpaceDescriptor, rng, trials: int, report: AxiomReport):
         Xd, Yd, t = _dependent_pairs(rng, n)
         vals = _norms("B1", space, Xd, Yd)
         scale = (_row_lengths(Xd) * _row_lengths(Yd)) ** space.beta
-        _fold_worst(report.b1, vals > REL_TOL * (1.0 + scale), vals, "value", lambda i: {
+        bad = vals > REL_TOL * (1.0 + scale)
+        _fold_worst(report.violations["B1"], bad, vals, "value", lambda i: {
             "x": Xd[i].tolist(), "y": Yd[i].tolist(), "lambda": float(t[i]),
             "value": float(vals[i]),
         })
@@ -462,7 +445,7 @@ def _check_b2_b3(space: SpaceDescriptor, rng, trials: int, report: AxiomReport):
         lam[np.abs(lam) < 1e-3] = 1.0
         v_xy = _norms("B2", space, X, Y)
         d_sym = np.abs(v_xy - _norms("B2", space, Y, X))
-        _fold_worst(report.b2, d_sym > EXACT_TOL, d_sym, "diff", lambda i: {
+        _fold_worst(report.violations["B2"], d_sym > EXACT_TOL, d_sym, "diff", lambda i: {
             "x": X[i].tolist(), "y": Y[i].tolist(), "diff": float(d_sym[i]),
         })
 
@@ -472,7 +455,7 @@ def _check_b2_b3(space: SpaceDescriptor, rng, trials: int, report: AxiomReport):
         v_lam = _norms("B3", space, lam[:, None] * X, Y)
         d_hom = np.abs(v_lam - np.abs(lam) ** space.beta * v_xy)
         bad3 = ~near & (d_hom > REL_TOL * (1.0 + v_xy))
-        _fold_worst(report.b3, bad3, d_hom, "error", lambda i: {
+        _fold_worst(report.violations["B3"], bad3, d_hom, "error", lambda i: {
             "x": X[i].tolist(), "y": Y[i].tolist(), "lambda": float(lam[i]),
             "measured_ratio": float(v_lam[i] / v_xy[i]) if v_xy[i] > 0 else 0.0,
             "expected_ratio": float(np.abs(lam[i]) ** space.beta), "error": float(d_hom[i]),
@@ -486,7 +469,7 @@ def _check_b4(space: SpaceDescriptor, rng, trials: int, report: AxiomReport):
         report.degenerate += int((~valid).sum())
         report.kappa_observed = max(report.kappa_observed, float(ratio.max()))
         bad = valid & (ratio > space.kappa * (1.0 + REL_TOL))
-        _fold_worst(report.b4, bad, ratio, "ratio", lambda i: {
+        _fold_worst(report.violations["B4"], bad, ratio, "ratio", lambda i: {
             "x": Xt[i].tolist(), "y": Yt[i].tolist(), "z": Zt[i].tolist(),
             "ratio": float(ratio[i]),
         })

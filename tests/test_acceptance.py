@@ -41,7 +41,7 @@ def test_criterion_1_axiom_suite():
     start = time.perf_counter()
     for space in spaces:
         rep = check_axioms(space, 10_000, seed=101)
-        assert rep.total_violations == 0, (space.family, space.beta, rep.to_dict())
+        assert rep.total_violations == 0, (space.family, space.beta, rep)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"axiom suite took {elapsed:.2f}s"
     _report(1, f"0 violations across 5 spaces x 10^4 trials in {elapsed:.2f}s")
@@ -77,7 +77,7 @@ def test_criterion_3_theta_and_envelope():
 
     for space in (cross_2norm(), power_space(cross_2norm(), 0.5)):
         rep = check_p_triangle(space, 10_000, seed=303, budget=4)
-        assert rep.violations == 0, (space.family, rep.to_dict())
+        assert rep.violations == 0, (space.family, rep)
     _report(3, "theta exact; 10^3 certificates valid; 0 p-triangle violations "
                "on 2 kappa=1 spaces x 10^4 samples")
 
@@ -162,16 +162,16 @@ def test_criterion_7_hyperstability_recovery():
 
     assert report.feasible
     assert report.m0.min_member == 2
-    p2 = next(c for c in report.m0.all_constants if c.m == 2).P
+    p2 = next(c for c in report.m0.constants if c.m == 2).P
     # direct evaluation of the contraction formula: 2*8^-2 + 2*7^-2 + 15^-2
     assert p2 == pytest.approx(0.07651077097505668, abs=1e-6)
 
     assert [rec["m"] for rec in report.per_m] == [2, 3, 5]
     for rec in report.per_m:
-        assert rec["qm"]["converged"] and rec["qm"]["iterations"] <= 60
+        assert rec["qm"].converged and rec["qm"].iterations <= 60
         assert rec["sup_dev_from_f0_rel"] < 1e-6
-        assert rec["qm"]["residual_pairs"] == 1000
-        assert rec["qm"]["sup_residual_scaled"] <= 1e-8
+        assert rec["qm"].residual_pairs == 1000
+        assert rec["qm"].sup_residual_scaled <= 1e-8
         assert rec["K_observed"] is not None
         assert rec["K_observed"] <= 1 + 1e-6
     assert elapsed < 30.0, f"experiment took {elapsed:.2f}s"

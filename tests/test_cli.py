@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from qbanach import cli
 from qbanach.cli import (COMMANDS, SCHEMAS, VIOLATIONS, ConfigError, RunConfig,
-                         _pair_shortfall, emit_csv, json_schema, main, parse_config, run,
-                         serialize_config)
+                         _pair_shortfall, emit_csv, json_schema, main, parse_config, run)
 from qbanach.radical import EquationParams, sample_admissible_pairs
 from test_report_golden import check_bound_table
 
@@ -66,9 +65,9 @@ def test_parse_rejects_command_mismatch_and_bad_json():
 
 
 def test_config_round_trip():
+    # the validated payload, defaults filled in, parses to the same config
     cfg = parse_config(make_config("HYPERSTAB", REFERENCE_HYPERSTAB_PAYLOAD, seed=3))
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
+    assert parse_config(make_config("HYPERSTAB", cfg.payload, seed=3)) == cfg
 
 
 def test_run_check_space_clean(tmp_path):
@@ -134,7 +133,8 @@ def _integer_nodes(node, path):
 
 def test_every_count_a_config_sets_has_a_maximum():
     # a count sets how long a run takes or how much it holds, so the schema
-    # bounds each; an index or an exponent (m_values, root_n) bounds no loop
+    # bounds each; an exponent (root_n) bounds no loop, and an m_values item
+    # is an index whose bound is m_max's
     unbounded = []
     for command in COMMANDS:
         for path, node in _integer_nodes(SCHEMAS[command], ""):
@@ -144,8 +144,9 @@ def test_every_count_a_config_sets_has_a_maximum():
                 assert node.get("maximum", -1) >= used, (command, path)
             elif "maximum" not in node:
                 unbounded.append((command, path))
-    assert sorted(unbounded) == [("HYPERSTAB", "equation.root_n"), ("HYPERSTAB", "m_values[]"),
-                                 ("SOLVE", "equation.root_n")]
+    assert sorted(unbounded) == [("HYPERSTAB", "equation.root_n"), ("SOLVE", "equation.root_n")]
+    m_max = SCHEMAS["HYPERSTAB"]["properties"]["m_max"]["maximum"]
+    assert SCHEMAS["HYPERSTAB"]["properties"]["m_values"]["items"]["maximum"] == m_max
 
 
 def test_check_space_trials_past_the_bound_are_refused_at_parse(tmp_path, capsys):
@@ -474,14 +475,11 @@ def test_readme_exit_table_names_every_violation():
 
 
 def test_pair_shortfall_names_the_vacuous_check():
-    def record(admissible, drawn):
-        return {"residual_pairs": admissible, "drawn_pairs": drawn}
-
-    assert _pair_shortfall(5, record(5, 6)) == [] and _pair_shortfall(0, record(0, 0)) == []
-    assert _pair_shortfall(7, record(0, 70)) == [{
+    assert _pair_shortfall(5, 5, 6) == [] and _pair_shortfall(0, 0, 0) == []
+    assert _pair_shortfall(7, 0, 70) == [{
         "name": "no admissible pairs", "where": None, "requested_pairs": 7,
         "admissible_pairs": 0, "rejected_pairs": 70}]
-    (few,) = _pair_shortfall(7, record(3, 70), "m=2")
+    (few,) = _pair_shortfall(7, 3, 70, "m=2")
     assert few["name"] == "too few admissible pairs" and few["rejected_pairs"] == 67
     assert few["where"] == "m=2"
 
@@ -555,6 +553,36 @@ def test_fixed_point_divergence_exits_1_without_report(tmp_path, capsys):
     assert err.startswith("error: fixed-point: iterate: fixed-point iteration step ")
     assert "non-finite iterate" in err and "Traceback" not in err
     assert not (tmp_path / "fixed_point_report.json").exists()
+
+
+_OVERFLOWING_STEP = {
+    # mu ~ 5.7: at step 203 the iterate is ~1e302, finite, and its step's norm overflows
+    "FIXED_POINT": ({
+        "space": {"family": "POWERED", "beta": 0.3, "base": {"family": "CROSS_2NORM"}},
+        "branches": [{"scale": 2.749827648810853, "coef": 0.5779106620175588}],
+        "phi": {"terms": [{"coef": -1.4774197359106354, "exponent": 2.265268681983728,
+                           "direction": [-0.663222, 0.748055, -0.023445]}]},
+        "error_terms": [{"c": 1.7900121010826098, "s": 0.6795806045951184}],
+        "samples": [-1.6890073521283469, 0.9738561351095316, 1.2256381132584782],
+        "n_max": 400},
+        "error: fixed-point: iterate: fixed-point iteration step 203: non-finite iterate"),
+    # |x|^9 under T_2: the step's norm overflows at 48, before qm_n_max = 60
+    "HYPERSTAB": ({**REFERENCE_HYPERSTAB_PAYLOAD,
+                   "perturbation": {**REFERENCE_HYPERSTAB_PAYLOAD["perturbation"], "exponent": 9.0},
+                   "tolerances": {**REFERENCE_HYPERSTAB_PAYLOAD["tolerances"], "qm_n_max": 60}},
+                  "error: hyperstab: run_experiment: Q_m for m = 2: fixed-point iteration step 48: "
+                  "non-finite iterate"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OVERFLOWING_STEP))
+def test_a_finite_step_whose_norm_overflows_names_its_stage(command, tmp_path, capsys):
+    # the step stays finite while its norm overflows: named as a diverged
+    # iteration (exit 1, no report), with no numpy overflow warning on the way
+    payload, message = _OVERFLOWING_STEP[command]
+    assert run(parse_config(make_config(command, payload)), out_dir=str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not list(tmp_path.glob("*_report.json"))
 
 
 def test_hyperstab_with_no_admissible_pairs_exits_2_with_violation(tmp_path):
@@ -673,14 +701,14 @@ def test_hyperstab_diverging_Qm_names_the_index_without_numpy_warnings(tmp_path)
     assert proc.returncode == 1
     # nothing (no numpy RuntimeWarning) before the error line
     assert proc.stderr.startswith(
-        "error: hyperstab: run_experiment: Q_m for m = 2: fixed-point iteration step 96: "
+        "error: hyperstab: run_experiment: Q_m for m = 2: fixed-point iteration step 48: "
         "non-finite iterate"), proc.stderr
     assert not (tmp_path / "hyperstab_report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["HYPERSTAB", "FIXED_POINT"])
 def test_empty_witness_list_is_rejected_with_its_path(command, tmp_path, capsys):
-    # with witnesses this Q_m diverges at step 96; without them every sup-step
+    # with witnesses this Q_m diverges at step 48; without them every sup-step
     # read 0 and each m was reported converged after 3 steps
     payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
     payload["perturbation"]["exponent"] = 9.0
@@ -908,6 +936,20 @@ def test_envelope_counts_past_the_bound_are_refused_at_parse(tmp_path, capsys):
         assert not (tmp_path / "envelope_report.json").exists()
 
 
+@pytest.mark.parametrize("m_values,message", [
+    ([2] * 20, "payload.m_values: items must be unique"),
+    ([2, 3, 2], "payload.m_values: items must be unique"),
+    ([10_001], "payload.m_values[0]: must be <= 10000"),
+])
+def test_hyperstab_m_values_repeats_and_indices_past_m_max_are_refused(m_values, message,
+                                                                        tmp_path, capsys):
+    # a repeated m reran its Q_m and wrote one more identical per_m record
+    payload = dict(REFERENCE_HYPERSTAB_PAYLOAD, m_values=m_values)
+    assert _cli_main("HYPERSTAB", payload, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "hyperstab_report.json").exists()
+
+
 def test_a_stage_out_of_memory_exits_1_without_report(tmp_path, capsys, monkeypatch):
     # a stage that runs out of memory exits 1 naming the stage; no count the
     # schema admits fails to allocate, so the search raises MemoryError here
@@ -1035,7 +1077,8 @@ def _from_schema(node, caps=None):
     if kind == "array":
         lo = node.get("minItems", 0)
         return st.lists(_from_schema(node["items"], caps), min_size=lo,
-                        max_size=node.get("maxItems", lo + 2))
+                        max_size=node.get("maxItems", lo + 2),
+                        unique=node.get("uniqueItems", False))
     if kind == "string":
         return st.sampled_from(node["enum"]) if "enum" in node else st.text(max_size=8)
     if kind == "integer":
@@ -1087,7 +1130,7 @@ def test_generated_configs_round_trip_and_refuse_unknown_keys(command, data):
         # the shape is the schema's, so only building the inputs refuses it
         assert str(err).startswith("payload.")
     else:
-        assert parse_config(serialize_config(config)) == config
+        assert parse_config(json.dumps({**doc, "payload": config.payload})) == config
     # one extra key at an object of the document names its path: the shape
     # is checked before anything is built
     objects = [("config", cli._TOP["properties"]),

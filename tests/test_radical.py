@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qbanach.cli import parse_config
+from qbanach.cli import _json_data, parse_config
 
 from qbanach.radical import (DRAWS_PER_PAIR, EquationParams, InadmissiblePairError,
                              NoExactSolutionError, Term, VectorFunction, admissibility,
@@ -201,9 +201,9 @@ def test_vector_function_json_round_trip():
                Term(coef=-0.5, exponent=3.0, mode="SIGNED", direction=np.array([0.0, 1.0, 0.0]))],
         constant=np.array([0.0, 0.0, 2.0]),
     )
-    # a fixed-point config's phi reads to_dict's form back
+    # a fixed-point config's phi reads a report body's form back
     payload = {"space": {"family": "CROSS_2NORM"}, "branches": [{"scale": 2.0, "coef": 0.5}],
-               "phi": f.to_dict(), "error_terms": [], "samples": [1.0]}
+               "phi": _json_data(f), "error_terms": [], "samples": [1.0]}
     g = parse_config(json.dumps({"command": "FIXED_POINT", "payload": payload})).inputs["phi"]
     for x in (0.5, -1.5, 2.0):
         assert np.allclose(f(x), g(x))

@@ -109,21 +109,19 @@ def test_check_axioms_clean_spaces():
     ]
     for space in spaces:
         rep = check_axioms(space, 2000, seed=11)
-        assert rep.total_violations == 0, (space.family, rep.to_dict())
+        assert rep.total_violations == 0, (space.family, rep)
         assert rep.kappa_observed <= space.kappa * (1 + 1e-9)
 
 
 def test_check_axioms_underdeclared_kappa():
     # true modulus of LP_CROSS(1/2) is 2; declaring 1 must surface B4 witnesses
     rep = check_axioms(lp_cross(0.5, kappa=1.0), 5000, seed=3)
-    assert rep.b4.count > 0
-    assert rep.b4.worst["ratio"] > 1.0
+    assert rep.violations["B4"].count > 0
+    assert rep.violations["B4"].worst["ratio"] > 1.0
 
 
 def test_check_axioms_deterministic():
-    a = check_axioms(lp_cross(0.5), 1500, seed=9).to_dict()
-    b = check_axioms(lp_cross(0.5), 1500, seed=9).to_dict()
-    assert a == b
+    assert check_axioms(lp_cross(0.5), 1500, seed=9) == check_axioms(lp_cross(0.5), 1500, seed=9)
 
 
 def test_b3_scaling_ratio_identity():
@@ -312,13 +310,13 @@ def _oracle_check_axioms(space, trials, seed):
     """``check_axioms`` on whole arrays, as it was before the triple stage
     went block by block."""
     rng = np.random.default_rng(seed)
-    report = spaces.AxiomReport(trials=trials)
+    report = spaces.AxiomReport()
 
     Xd, Yd, t = spaces._dependent_pairs(rng, trials)
     vals = eval_norm_rows(space, Xd, Yd)
     scale = (np.linalg.norm(Xd, axis=1) * np.linalg.norm(Yd, axis=1)) ** space.beta
     bad = vals > spaces.REL_TOL * (1.0 + scale)
-    _record_worst(report.b1, bad, vals, lambda i: {
+    _record_worst(report.violations["B1"], bad, vals, lambda i: {
         "x": Xd[i].tolist(), "y": Yd[i].tolist(), "lambda": float(t[i]), "value": float(vals[i]),
     })
 
@@ -328,7 +326,7 @@ def _oracle_check_axioms(space, trials, seed):
     v_xy = eval_norm_rows(space, X, Y)
     v_yx = eval_norm_rows(space, Y, X)
     d_sym = np.abs(v_xy - v_yx)
-    _record_worst(report.b2, d_sym > spaces.EXACT_TOL, d_sym, lambda i: {
+    _record_worst(report.violations["B2"], d_sym > spaces.EXACT_TOL, d_sym, lambda i: {
         "x": X[i].tolist(), "y": Y[i].tolist(), "diff": float(d_sym[i]),
     })
     v_lam = eval_norm_rows(space, lam[:, None] * X, Y)
@@ -337,7 +335,7 @@ def _oracle_check_axioms(space, trials, seed):
     bad3 = ~near & (d_hom > spaces.REL_TOL * (1.0 + v_xy))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio3 = np.where(v_xy > 0, v_lam / v_xy, 0.0)
-    _record_worst(report.b3, bad3, d_hom, lambda i: {
+    _record_worst(report.violations["B3"], bad3, d_hom, lambda i: {
         "x": X[i].tolist(), "y": Y[i].tolist(), "lambda": float(lam[i]),
         "measured_ratio": float(ratio3[i]), "expected_ratio": float(np.abs(lam[i]) ** space.beta),
         "error": float(d_hom[i]),
@@ -347,7 +345,7 @@ def _oracle_check_axioms(space, trials, seed):
     ratio, valid = spaces._triangle_ratios(space, Xt, Yt, Zt)
     report.degenerate += int((~valid).sum())
     bad4 = valid & (ratio > space.kappa * (1.0 + spaces.REL_TOL))
-    _record_worst(report.b4, bad4, ratio, lambda i: {
+    _record_worst(report.violations["B4"], bad4, ratio, lambda i: {
         "x": Xt[i].tolist(), "y": Yt[i].tolist(), "z": Zt[i].tolist(), "ratio": float(ratio[i]),
     })
     report.kappa_observed = float(ratio.max()) if valid.any() else 0.0
@@ -361,10 +359,10 @@ def _oracle_estimate_kappa(space, trials, seed):
 
 
 def _assert_matches_oracle(space, trials, seed):
-    got = check_axioms(space, trials, seed).to_dict()
-    assert got == _oracle_check_axioms(space, trials, seed).to_dict()
+    got = check_axioms(space, trials, seed)
+    assert got == _oracle_check_axioms(space, trials, seed)
     kappa = estimate_kappa(space, trials, seed)
-    # repr tells -0.0 from 0.0; == on the dicts above compares floats exactly
+    # repr tells -0.0 from 0.0; == on the reports above compares floats exactly
     assert repr(kappa) == repr(_oracle_estimate_kappa(space, trials, seed))
     return got
 
@@ -375,7 +373,7 @@ def test_block_stages_match_whole_array_oracle_at_block_edges(space, trials):
     got = _assert_matches_oracle(space, trials, seed=trials)
     if space.family != "CROSS_2NORM" and trials > B:
         # an under-declared space: the fold over blocks carried a witness
-        assert got["violations"]["B4"]["worst"] is not None
+        assert got.violations["B4"].worst is not None
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -394,8 +392,8 @@ def test_b4_worst_keeps_the_earliest_row_of_a_cross_block_tie(monkeypatch):
     monkeypatch.setattr(spaces, "sample_triples",
                         lambda rng, n: tuple(np.array(v) for v in next(blocks)))
     rep = check_axioms(lp_cross(0.5, kappa=1.0), 2, seed=0)
-    assert rep.b4.count == 2
-    assert rep.b4.worst == {"x": e1[0], "y": e2[0], "z": e3[0], "ratio": 2.0}
+    assert rep.violations["B4"].count == 2
+    assert rep.violations["B4"].worst == {"x": e1[0], "y": e2[0], "z": e3[0], "ratio": 2.0}
     assert rep.kappa_observed == 2.0
 
 
@@ -438,9 +436,9 @@ def _perturb_kernel(monkeypatch):
 def test_b1_to_b3_folds_match_whole_array_oracle_on_a_broken_kernel(space, trials, monkeypatch):
     # on the real spaces B1-B3 count 0, so only a broken kernel reaches their folds
     _perturb_kernel(monkeypatch)
-    got = _assert_matches_oracle(space, trials, seed=trials)["violations"]
+    got = _assert_matches_oracle(space, trials, seed=trials).violations
     if trials > 1:
-        assert all(got[b]["count"] > 0 for b in ("B1", "B2", "B3"))
+        assert all(got[b].count > 0 for b in ("B1", "B2", "B3"))
     if trials > 2 * B:
         # the tie spans blocks: later blocks hold value-1 rows the fold must not take
         Xd = spaces._dependent_pairs(np.random.default_rng(trials), trials)[0]
