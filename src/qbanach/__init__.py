@@ -10,8 +10,8 @@ from .fixedpoint import (Branch, IterationSpec, ScalarErrorFn, apply_T, epsilon_
                          load_sample_grid)
 from .hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig, ExpansionTable,
                         HyperstabConstants, compute_Qm, constants, expand_T_power,
-                        find_M0, radical_iteration_spec, run_experiment,
-                        s_multiplier, sequences, theorem_bound)
+                        find_M0, radical_iteration_spec, run_experiment, sequences,
+                        theorem_bound)
 from .radical import (EquationParams, InadmissiblePairError, NoExactSolutionError,
                       Term, VectorFunction, check_structure, make_solution,
                       real_root, residual)

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -69,7 +69,8 @@ _SPACE = {
     "properties": {
         "family": {"type": "string", "enum": ["CROSS_2NORM", "POWERED", "LP_CROSS", "SCALED"],
                    "description": "all take beta and kappa; LP_CROSS also needs p, "
-                                  "POWERED a base of beta 1, SCALED a base and a factor"},
+                                  "POWERED a base of beta 1, SCALED a base and a factor "
+                                  "(its beta is its base's)"},
         "beta": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 1.0,
                  "description": "beta must lie in (0,1]"},
         "kappa": {"type": "number", "minimum": 1.0},
@@ -204,8 +205,6 @@ SCHEMAS = {
             "error_model": {
                 "type": "object",
                 "properties": {
-                    "alpha": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 1.0,
-                              "description": "alpha must lie in (0,1]"},
                     "components": {"type": "array", "minItems": 4, "maxItems": 4, "items": {
                         "type": "object",
                         "properties": {"c": {"type": "number", "minimum": 0.0}, "p": _NUM,
@@ -454,7 +453,7 @@ def _build_inputs(command: str, p: dict):
         _at("payload.w", VectorFunction, [Term(1.0, 0.0, direction=p["direction"])], p["w"])
     elif command == "HYPERSTAB":
         # the majorant's auxiliary space is the space itself unless the
-        # payload names one, and an alpha must be its beta
+        # payload names one; its beta is the model's alpha
         aux = (_at("payload.aux_space", space_from_dict, p["aux_space"]) if "aux_space" in p
                else built["space"])
         em, g = p["error_model"], p["error_model"]["g_map"]
@@ -463,14 +462,10 @@ def _build_inputs(command: str, p: dict):
                   g["matrix"] if isinstance(g, dict) and list(g) == ["matrix"] else g)
         model = _at("payload.error_model.g_map", hs.ErrorModel,
                     tuple(hs.ErrorComponent(**c) for c in em["components"]), aux, matrix)
-        if em.get("alpha", model.alpha) != model.alpha:
-            raise ConfigError(f"payload.error_model.alpha: {em['alpha']} must equal the "
-                              f"auxiliary space's beta = {model.alpha}")
         same = ("space", "equation", "solution", "perturbation", "grid", "m_values", "m_max",
                 "witnesses")
-        # seed 0 stands in for the run's: --seed may replace the config's after parsing
         return hs.ExperimentConfig(model=model, **{k: built[k] for k in same},
-                                   **p["tolerances"], seed=0)
+                                   **p["tolerances"])
     return built
 
 
@@ -599,9 +594,8 @@ def _run_solve(inputs, seed):
                                               residuals["drawn_pairs"]), tables
 
 
-def _run_hyperstab(experiment, seed):
-    cfg = replace(experiment, seed=seed)
-    report = hs.stage("run_experiment", hs.run_experiment, cfg)
+def _run_hyperstab(cfg, seed):
+    report = hs.stage("run_experiment", hs.run_experiment, cfg, seed)
     if not report.feasible:
         return report, [_violation("empty M0", m_max=cfg.m_max)], {}
     # no requested m lies in M0: no Q_m was computed and no bound checked

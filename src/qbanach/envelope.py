@@ -49,10 +49,8 @@ _TRIALS_PER_SEARCH = 256  # trials per batched search in check_p_triangle
 class EnvelopeResult:
     value: float
     certificate: list  # list of parts (each a list of dim floats) summing to x
-    p: float
-    theta: float
+    p: float            # the exponent theta(beta, kappa)
     c1_observed: float  # value / base norm for this pair (lower-equivalence ratio)
-    c2: float = 1.0     # single-term decomposition always admissible
 
 
 def _combine(space: SpaceDescriptor, parts: np.ndarray, z: np.ndarray, r: float) -> float:
@@ -199,7 +197,6 @@ def envelope_norm_rows(space: SpaceDescriptor, X, Z, budget: int, seeds) -> list
             value=best_value,
             certificate=[prt.tolist() for prt in best_parts],
             p=p,
-            theta=p,
             c1_observed=(best_value / b) if b > 0 else 1.0,
         ))
     return out

@@ -12,10 +12,10 @@ equation into an approximate fixed point of
 The error majorant has the four-factor form
 ``gamma(x, y, z) = h1(x^n, z) h2(y^n, z) + h3(x^n, z) + h4(y^n, z)`` with
 power components ``h_i(t, z) = c_i |t, z|-weighted``; its scaling multipliers
-``s_i(rho) = |rho|^(alpha p_i)`` drive the contraction constants A_m, B_m,
-C_m, P_m = max(A,B,C) and sigma_m.  Indices with P_m < 1 form the feasible
-set M0; for those the iteration T_m^n f converges to an exact solution Q_m
-and the quantitative deviation bound holds.
+``s_i(rho) = |rho|^(alpha p_i)`` (``ErrorModel.multiplier``) drive the
+contraction constants A_m, B_m, C_m, P_m = max(A,B,C) and sigma_m.  Indices
+with P_m < 1 form the feasible set M0; for those the iteration T_m^n f
+converges to an exact solution Q_m and the quantitative deviation bound holds.
 
 T_m^k expands into the (k+1)(k+2)/2-term multinomial table because the three
 scalings commute (hard cap k <= 40).  ``fixedpoint`` is the one home of T^k:
@@ -62,7 +62,6 @@ __all__ = [
     "HyperstabReport",
     "sequences",
     "scale_powers",
-    "s_multiplier",
     "constants",
     "find_M0",
     "expand_T_power",
@@ -152,10 +151,11 @@ class ErrorModel:
     def alpha(self) -> float:
         return self.aux_space.beta
 
-    @property
-    def feasibility_flags(self) -> dict:
-        p = [comp.p for comp in self.components]
-        return {"p1+p2<0": p[0] + p[1] < 0, "p3<0": p[2] < 0, "p4<0": p[3] < 0}
+    def multiplier(self, i: int, rho: float) -> float:
+        """Scaling multiplier of component h_i, i in 1..4: ``|rho|^(alpha p_i)``."""
+        if rho == 0.0:
+            raise ValueError("rho must be nonzero")
+        return abs(rho) ** (self.alpha * self.components[i - 1].p)
 
     def g(self, z) -> np.ndarray:
         zv = np.asarray(z, dtype=float)
@@ -188,13 +188,6 @@ class ErrorModel:
         return float(self.gamma_rows([tx], [ty], [z])[0, 0])
 
 
-def s_multiplier(component: ErrorComponent, rho: float, alpha: float) -> float:
-    """Scaling multiplier of a power component: ``|rho|^(alpha p)``."""
-    if rho == 0.0:
-        raise ValueError("rho must be nonzero")
-    return abs(rho) ** (alpha * component.p)
-
-
 @dataclass
 class HyperstabConstants:
     """Per-index contraction data of the hyperstability theorem."""
@@ -219,19 +212,17 @@ def constants(eq: EquationParams, model: ErrorModel, space: SpaceDescriptor,
     spec = radical_iteration_spec(eq, m, space)
     u, v, w = (br.scale for br in spec.branches)
     up, vp, _ = spec.power_hints
-    h1, h2, h3, h4 = model.components
-    al = model.alpha
+    s = model.multiplier
     weights = spec.weights
 
-    def weighted(s):
-        return sum(L * s(rho) for L, rho in zip(weights, spec.power_hints))
+    def weighted(f):
+        return sum(L * f(rho) for L, rho in zip(weights, spec.power_hints))
 
-    A = weighted(lambda rho: s_multiplier(h1, rho, al) * s_multiplier(h2, rho, al))
-    B = weighted(lambda rho: s_multiplier(h3, rho, al))
-    C = weighted(lambda rho: s_multiplier(h4, rho, al))
+    A = weighted(lambda rho: s(1, rho) * s(2, rho))
+    B = weighted(lambda rho: s(3, rho))
+    C = weighted(lambda rho: s(4, rho))
     P = max(A, B, C)
-    sigma = max(s_multiplier(h1, up, al) * s_multiplier(h2, vp, al),
-                s_multiplier(h3, up, al), s_multiplier(h4, vp, al))
+    sigma = max(s(1, up) * s(2, vp), s(3, up), s(4, vp))
     return HyperstabConstants(m=m, u=u, v=v, w=w, A=A, B=B, C=C, P=P,
                               sigma=sigma, in_M0=P < 1.0)
 
@@ -262,15 +253,11 @@ def find_M0(eq: EquationParams, model: ErrorModel, space: SpaceDescriptor,
     if members:
         sig_min = next(c.sigma for c in all_c if c.m == members[0])
         sigma_dec = all_c[-1].sigma < sig_min or len(members) == 1
-    flags = model.feasibility_flags
+    p1, p2, p3, p4 = (comp.p for comp in model.components)
     return M0Result(
         members=members,
         sigma_decreasing=sigma_dec,
-        limit_conditions={
-            "A": flags["p1+p2<0"],
-            "B": flags["p3<0"],
-            "C": flags["p4<0"],
-        },
+        limit_conditions={"A": p1 + p2 < 0, "B": p3 < 0, "C": p4 < 0},
         constants=all_c,
     )
 
@@ -385,24 +372,27 @@ def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[flo
 
 
 def theorem_bound_rows(model: ErrorModel, consts: HyperstabConstants, theta_exp: float,
-                       K: float, xs, witnesses, root_n: int = 3) -> np.ndarray:
-    """Right-hand side of the deviation bound for every x (rows) and witness z
-    (columns): ``K sigma^theta [h1 h2 + h3 + h4](x^n, z)^theta / (1 - P^theta)``."""
+                       xs, witnesses, root_n: int = 3) -> np.ndarray:
+    """Right-hand side of the deviation bound at K = 1 for every x (rows) and
+    witness z (columns): ``sigma^theta [h1 h2 + h3 + h4](x^n, z)^theta /
+    (1 - P^theta)``.  The theorem's K is measured against it, in
+    ``bound_table``."""
     if consts.P >= 1.0:
         raise ValueError("bound requires P < 1 (index must lie in M0)")
     if not (0.0 < theta_exp <= 1.0):
         raise ValueError("theta must lie in (0,1]")
     ts = [x ** root_n for x in xs]
     br = model.gamma_rows(ts, ts, witnesses)
-    head, den = K * consts.sigma ** theta_exp, 1.0 - consts.P ** theta_exp
+    head, den = consts.sigma ** theta_exp, 1.0 - consts.P ** theta_exp
     return np.array([head * b ** theta_exp / den for b in br.ravel().tolist()],
                     dtype=float).reshape(br.shape)
 
 
 def theorem_bound(model: ErrorModel, consts: HyperstabConstants, theta_exp: float,
-                  K: float, x: float, z, root_n: int = 3) -> float:
-    """The deviation bound at one x and one witness z (see ``theorem_bound_rows``)."""
-    return float(theorem_bound_rows(model, consts, theta_exp, K, [x], [z], root_n)[0, 0])
+                  x: float, z, root_n: int = 3) -> float:
+    """The unit-K deviation bound at one x and one witness z (see
+    ``theorem_bound_rows``)."""
+    return float(theorem_bound_rows(model, consts, theta_exp, [x], [z], root_n)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +413,6 @@ class ExperimentConfig:
     qm_tol: float
     qm_n_max: int
     residual_pairs: int
-    seed: int
 
 
 @dataclass
@@ -464,12 +453,13 @@ def _consistency_scan(eq: EquationParams, f, model: ErrorModel, grid, witnesses,
             "exceeds_gamma": max_ratio > 1.0}
 
 
-def run_experiment(config: ExperimentConfig) -> HyperstabReport:
+def run_experiment(config: ExperimentConfig, seed: int) -> HyperstabReport:
     """Full hyperstability pipeline: feasible set, Q_m recovery, residual and
     deviation-bound verification (``bound_table`` of ``|f - Q_m, z|^theta``
-    against ``theorem_bound_rows`` at K = 1), and the near-diagonal
-    consistency probe.  A failure in ``find_M0`` or at one checked index is
-    a ``ValueError`` naming the m."""
+    against ``theorem_bound_rows``), and the near-diagonal consistency probe.
+    Q_m's residual pairs at index m are drawn with seed ``seed + m``.  A
+    failure in ``find_M0`` or at one checked index is a ``ValueError``
+    naming the m."""
     warnings = []
     eq, sol, pert = config.equation, config.solution, config.perturbation
     space = config.space
@@ -514,13 +504,13 @@ def run_experiment(config: ExperimentConfig) -> HyperstabReport:
         cst = consts_by_m[m]
         qm = compute_Qm(eq, f, m, grid, tol=config.qm_tol, n_max=config.qm_n_max,
                         space=space, witnesses=witnesses,
-                        residual_pairs=config.residual_pairs, seed=config.seed + m)
+                        residual_pairs=config.residual_pairs, seed=seed + m)
         qv = np.array(qm.values)
         sup_dev_rel = _sup(np.abs(qv - f0v).max(axis=1) / denom)
         sup_f_qm = _sup(np.abs(fv - qv).max(axis=1))
         K_obs, entries, unbudgeted[m] = bound_table(
             space, fv - qv, witnesses, th,
-            theorem_bound_rows(config.model, cst, th, 1.0, grid, witnesses, eq.root_n), grid)
+            theorem_bound_rows(config.model, cst, th, grid, witnesses, eq.root_n), grid)
         return {
             "m": m,
             "qm": qm,

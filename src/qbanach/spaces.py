@@ -8,7 +8,7 @@ Three instantiable families are provided, all built on the cross product:
   space with beta = 1; declares modulus ``kappa_base ** beta``.
 * ``LP_CROSS(p)`` -- the l^p length ``(sum |(x x y)_i|^p)^(1/p)`` of the
   cross product for ``0 < p <= 1``; declares modulus ``2**(1/p - 1)``.
-* ``SCALED(base, C)`` -- pointwise ``C * base(x, y)``, same modulus.
+* ``SCALED(base, C)`` -- pointwise ``C * base(x, y)``, same modulus and beta.
 
 Random sampling used by the checkers draws coordinates i.i.d. uniform on
 [-10, 10] and mixes in structured configurations (exactly dependent pairs,
@@ -58,11 +58,11 @@ REL_TOL = 1e-9
 _FAMILIES = ("CROSS_2NORM", "POWERED", "LP_CROSS", "SCALED")
 
 
-def _as_vector(x, dim: Optional[int] = None) -> np.ndarray:
+def _as_vector(x, dim: int) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError("vector must be one-dimensional")
-    if dim is not None and v.shape[0] != dim:
+    if v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
@@ -115,6 +115,10 @@ class SpaceDescriptor:
         if self.family == "SCALED":
             if self.base is None or self.factor is None or self.factor <= 0:
                 raise ValueError("SCALED requires a base space and factor C > 0")
+            # C * base(x, y) is homogeneous of its base's degree
+            if self.beta != self.base.beta:
+                raise ValueError(f"SCALED beta = {self.beta!r} must equal its base's "
+                                 f"beta = {self.base.beta!r}")
 
     @property
     def dim(self) -> int:
@@ -189,7 +193,17 @@ def eval_norm_rows(space: SpaceDescriptor, X: np.ndarray, Y: np.ndarray) -> np.n
     # component sums run left to right, as numpy's sum over a length-3 axis does
     if space.family == "CROSS_2NORM":
         c0, c1, c2 = _cross_rows(X, Y)
-        return np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+        with np.errstate(over="ignore"):
+            out = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+        big = np.isinf(out)
+        if np.count_nonzero(big):  # faster than big.any() on a few rows
+            # a component past ~1.3e154 squares to inf: those rows are scaled by
+            # their largest |c_i|, so a length is inf only past the float range
+            C = np.abs(np.stack([c0[big], c1[big], c2[big]]))
+            top = C.max(axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf / inf: an inf component
+                out[big] = np.where(np.isinf(top), np.inf, top * np.sqrt(((C / top) ** 2).sum(0)))
+        return out
     if space.family == "LP_CROSS":
         c0, c1, c2 = _cross_rows(X, Y)
         p = space.p
@@ -233,9 +247,10 @@ def _norm_table(space: SpaceDescriptor, X, witnesses) -> np.ndarray:
 # axes; extremal quasi-triangle ratios for l^p cross norms).
 _DRAWS_PER_TRIPLE = 32
 _DRAWS_PER_PAIR = 12  # uniforms per row of sample_pairs
+_BOX = 10.0  # coordinates are uniform on [-_BOX, _BOX]
 
 
-def sample_triples(rng: np.random.Generator, n: int, box: float = 10.0):
+def sample_triples(rng: np.random.Generator, n: int):
     """Draw ``n`` triples (x, y, z) from the documented mixture.
 
     One fixed-width row of uniforms is consumed per trial, so runs with more
@@ -243,7 +258,7 @@ def sample_triples(rng: np.random.Generator, n: int, box: float = 10.0):
     several calls are the rows of one call.
     """
     U = rng.random((n, _DRAWS_PER_TRIPLE))
-    XYZ = box * (2.0 * U[:, 0:9] - 1.0)
+    XYZ = _BOX * (2.0 * U[:, 0:9] - 1.0)
     X, Y, Z = XYZ[:, 0:3], XYZ[:, 3:6], XYZ[:, 6:9]
     mix = U[:, 9]
 
@@ -274,22 +289,22 @@ def sample_triples(rng: np.random.Generator, n: int, box: float = 10.0):
     return X, Y, Z
 
 
-def sample_pairs(rng: np.random.Generator, n: int, box: float = 10.0):
+def sample_pairs(rng: np.random.Generator, n: int):
     """Pairs: 90% uniform, 10% near-dependent (y = t*x + 1e-8 noise).
 
     Returns (X, Y, near) where ``near`` marks the near-dependent mixture.
     Like ``sample_triples``, one fixed-width row is consumed per pair.
     """
     U = rng.random((n, _DRAWS_PER_PAIR))
-    X = box * (2.0 * U[:, 0:3] - 1.0)
-    Y = box * (2.0 * U[:, 3:6] - 1.0)
+    X = _BOX * (2.0 * U[:, 0:3] - 1.0)
+    Y = _BOX * (2.0 * U[:, 3:6] - 1.0)
     near = U[:, 6] >= 0.90
     V = U[near]
     Y[near] = (4.0 * V[:, 7] - 2.0)[:, None] * X[near] + 1e-8 * (2.0 * V[:, 8:11] - 1.0)
     return X, Y, near
 
 
-def _dependent_pairs(rng: np.random.Generator, n: int, box: float = 10.0):
+def _dependent_pairs(rng: np.random.Generator, n: int):
     """Exactly dependent pairs ``y = t*x`` with t a signed power of two.
 
     Power-of-two scalings are exact in binary floating point, so the cross
@@ -297,7 +312,7 @@ def _dependent_pairs(rng: np.random.Generator, n: int, box: float = 10.0):
     the norm is tested without rounding slack.
     """
     U = rng.random((n, 5))
-    X = box * (2.0 * U[:, 0:3] - 1.0)
+    X = _BOX * (2.0 * U[:, 0:3] - 1.0)
     expo = np.floor(7.0 * U[:, 3]) - 3.0  # -3 .. 3
     t = np.sign(U[:, 4] - 0.5) * (2.0 ** expo)
     Y = t[:, None] * X

@@ -555,22 +555,25 @@ def test_fixed_point_divergence_exits_1_without_report(tmp_path, capsys):
     assert not (tmp_path / "fixed_point_report.json").exists()
 
 
+# a norm scaled by 1e300: a growing step's norm passes the float range while
+# the step itself is finite
+_HUGE_NORM = {"family": "SCALED", "factor": 1e300, "base": {"family": "CROSS_2NORM"}}
 _OVERFLOWING_STEP = {
-    # mu ~ 5.7: at step 203 the iterate is ~1e302, finite, and its step's norm overflows
+    # mu ~ 5.7
     "FIXED_POINT": ({
-        "space": {"family": "POWERED", "beta": 0.3, "base": {"family": "CROSS_2NORM"}},
+        "space": _HUGE_NORM,
         "branches": [{"scale": 2.749827648810853, "coef": 0.5779106620175588}],
         "phi": {"terms": [{"coef": -1.4774197359106354, "exponent": 2.265268681983728,
                            "direction": [-0.663222, 0.748055, -0.023445]}]},
         "error_terms": [{"c": 1.7900121010826098, "s": 0.6795806045951184}],
         "samples": [-1.6890073521283469, 0.9738561351095316, 1.2256381132584782],
         "n_max": 400},
-        "error: fixed-point: iterate: fixed-point iteration step 203: non-finite iterate"),
-    # |x|^9 under T_2: the step's norm overflows at 48, before qm_n_max = 60
-    "HYPERSTAB": ({**REFERENCE_HYPERSTAB_PAYLOAD,
-                   "perturbation": {**REFERENCE_HYPERSTAB_PAYLOAD["perturbation"], "exponent": 9.0},
-                   "tolerances": {**REFERENCE_HYPERSTAB_PAYLOAD["tolerances"], "qm_n_max": 60}},
-                  "error: hyperstab: run_experiment: Q_m for m = 2: fixed-point iteration step 48: "
+        "error: fixed-point: iterate: fixed-point iteration step 11: non-finite iterate"),
+    # |x|^9 under T_2, measured in the huge norm; the majorant in CROSS_2NORM
+    "HYPERSTAB": ({**REFERENCE_HYPERSTAB_PAYLOAD, "space": _HUGE_NORM,
+                   "aux_space": {"family": "CROSS_2NORM"},
+                   "perturbation": {**REFERENCE_HYPERSTAB_PAYLOAD["perturbation"], "exponent": 9.0}},
+                  "error: hyperstab: run_experiment: Q_m for m = 2: fixed-point iteration step 2: "
                   "non-finite iterate"),
 }
 
@@ -583,6 +586,21 @@ def test_a_finite_step_whose_norm_overflows_names_its_stage(command, tmp_path, c
     assert run(parse_config(make_config(command, payload)), out_dir=str(tmp_path)) == 1
     assert capsys.readouterr().err.startswith(message)
     assert not list(tmp_path.glob("*_report.json"))
+
+
+def test_a_contracting_iteration_of_huge_values_converges(tmp_path):
+    # phi = 1e160 x e1 under a branch of multiplier 0.5: the cross products of
+    # its iterates pass 1.3e154, whose squares overflow; the norm scales them,
+    # so the run converges and is not named a diverged iteration
+    payload = {"space": {"family": "CROSS_2NORM"}, "branches": [{"scale": 2.0, "coef": 0.25}],
+               "phi": {"terms": [{"coef": 1e160, "exponent": 1.0, "mode": "SIGNED",
+                                  "direction": [1.0, 0.0, 0.0]}]},
+               "error_terms": [{"c": 1e160, "s": 1.0}], "samples": [0.5, 1.0, -2.0],
+               "tol": 1e140}
+    assert run(parse_config(make_config("FIXED_POINT", payload)), out_dir=str(tmp_path)) == 0
+    report = json.loads((tmp_path / "fixed_point_report.json").read_text())["report"]
+    assert report["converged"] and report["iterations"] == 70
+    assert report["K_observed"] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_hyperstab_with_no_admissible_pairs_exits_2_with_violation(tmp_path):
@@ -659,13 +677,14 @@ def test_hyperstab_required_keys_only_take_the_schema_defaults(tmp_path):
     assert {key: config[key] for key in defaults} == defaults
 
 
-def test_hyperstab_alpha_other_than_the_aux_beta_exits_1(tmp_path, capsys):
+def test_hyperstab_error_model_alpha_is_an_unknown_key(tmp_path, capsys):
+    # alpha is the auxiliary space's beta, so a config cannot set it, even to that beta
     payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
-    payload["error_model"]["alpha"] = 0.5  # the auxiliary space is CROSS_2NORM, beta 1.0
-    assert _cli_main("HYPERSTAB", payload, tmp_path) == 1
-    assert capsys.readouterr().err == ("error: payload.error_model.alpha: 0.5 must equal the "
-                                       "auxiliary space's beta = 1.0\n")
-    assert not (tmp_path / "hyperstab_report.json").exists()
+    for alpha in (0.5, 1.0):
+        payload["error_model"]["alpha"] = alpha
+        assert _cli_main("HYPERSTAB", payload, tmp_path) == 1
+        assert capsys.readouterr().err == "error: unknown key at payload.error_model.alpha\n"
+        assert not (tmp_path / "hyperstab_report.json").exists()
 
 
 def test_hyperstab_nan_bound_side_is_a_no_error_budget_violation(tmp_path):
@@ -700,15 +719,16 @@ def test_hyperstab_diverging_Qm_names_the_index_without_numpy_warnings(tmp_path)
     )
     assert proc.returncode == 1
     # nothing (no numpy RuntimeWarning) before the error line
+    # the difference of iterates itself overflows at step 96
     assert proc.stderr.startswith(
-        "error: hyperstab: run_experiment: Q_m for m = 2: fixed-point iteration step 48: "
+        "error: hyperstab: run_experiment: Q_m for m = 2: fixed-point iteration step 96: "
         "non-finite iterate"), proc.stderr
     assert not (tmp_path / "hyperstab_report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["HYPERSTAB", "FIXED_POINT"])
 def test_empty_witness_list_is_rejected_with_its_path(command, tmp_path, capsys):
-    # with witnesses this Q_m diverges at step 48; without them every sup-step
+    # with witnesses this Q_m diverges at step 96; without them every sup-step
     # read 0 and each m was reported converged after 3 steps
     payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
     payload["perturbation"]["exponent"] = 9.0
@@ -766,11 +786,9 @@ def test_solve_and_hyperstab_report_one_residual_record(tmp_path):
 
 
 def test_hyperstab_alpha_defaults_to_the_aux_beta(tmp_path):
-    # with no alpha the model takes the auxiliary space's beta (here the
-    # space's own, 0.5); a schema default of 1.0 used to refuse this run
+    # the model's alpha is the auxiliary space's beta (here the space's own, 0.5)
     payload = json.loads(json.dumps(REFERENCE_HYPERSTAB_PAYLOAD))
     payload["space"] = {"family": "POWERED", "beta": 0.5, "base": {"family": "CROSS_2NORM"}}
-    del payload["error_model"]["alpha"]
     cfg = parse_config(make_config("HYPERSTAB", payload, seed=7))
     assert "alpha" not in cfg.payload["error_model"]
     assert cfg.inputs.model.alpha == 0.5

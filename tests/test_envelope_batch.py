@@ -21,8 +21,7 @@ with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def _hex_result(res):
-    return {"value": res.value.hex(), "p": res.p.hex(), "theta": res.theta.hex(),
-            "c1_observed": res.c1_observed.hex(), "c2": float(res.c2).hex(),
+    return {"value": res.value.hex(), "p": res.p.hex(), "c1_observed": res.c1_observed.hex(),
             "certificate": [[v.hex() for v in prt] for prt in res.certificate]}
 
 

@@ -12,8 +12,7 @@ from qbanach.fixedpoint import _term_multiplier
 from qbanach.hyperstab import (ErrorComponent, ErrorModel, ExperimentConfig,
                                HyperstabConstants, compute_Qm, constants,
                                expand_T_power, find_M0, radical_iteration_spec,
-                               run_experiment, s_multiplier, scale_powers,
-                               sequences, theorem_bound)
+                               run_experiment, scale_powers, sequences, theorem_bound)
 from qbanach.radical import EquationParams, Term, VectorFunction, make_solution
 from qbanach.spaces import SpaceDescriptor, cross_2norm, power_space
 from test_report_golden import check_bound_table
@@ -60,8 +59,7 @@ def test_sequences_rejects_small_m():
 def parsed_model(model: ErrorModel, aux_space: dict):
     """The model that a ``hyperstab`` config builds from ``model``'s config
     section, its auxiliary space given as the config's ``aux_space``."""
-    em = {"alpha": model.alpha,
-          "components": [{"c": c.c, "p": c.p, "y": c.y.tolist()} for c in model.components],
+    em = {"components": [{"c": c.c, "p": c.p, "y": c.y.tolist()} for c in model.components],
           "g_map": "IDENTITY" if model.g_matrix is None else {"matrix": model.g_matrix.tolist()}}
     payload = {"space": {"family": "CROSS_2NORM"}, "aux_space": aux_space, "error_model": em,
                "equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}, "grid": [1.0]}
@@ -86,13 +84,16 @@ def test_error_model_alpha_is_the_aux_beta():
     assert same_model(parsed_model(model, aux_doc), model)
 
 
-def test_s_multiplier_closed_form():
-    comp = ErrorComponent(1.0, -1.0, Y_DIR)
-    assert s_multiplier(comp, 8.0, alpha=1.0) == pytest.approx(0.125)
-    for p in (-2.0, -0.5, 0.7):
-        assert s_multiplier(ErrorComponent(1.0, p, Y_DIR), 1.0, alpha=0.5) == 1.0
+def test_multiplier_closed_form():
+    comps = tuple(ErrorComponent(1.0, p, Y_DIR) for p in (-1.0, -2.0, -0.5, 0.7))
+    assert ErrorModel(comps, cross_2norm()).multiplier(1, 8.0) == pytest.approx(0.125)
+    # alpha is the auxiliary space's beta: |rho|^(alpha p)
+    half = ErrorModel(comps, power_space(cross_2norm(), 0.5))
+    assert half.multiplier(2, 4.0) == 4.0 ** -1.0
+    for i in range(1, 5):
+        assert half.multiplier(i, 1.0) == 1.0
     with pytest.raises(ValueError):
-        s_multiplier(comp, 0.0, alpha=1.0)
+        half.multiplier(1, 0.0)
 
 
 def test_constants_reference_value():
@@ -334,38 +335,41 @@ def test_theorem_bound_values():
     cst = HyperstabConstants(m=2, u=2.0, v=-1.9, w=2.4, A=0.5, B=0.5, C=0.5,
                              P=0.5, sigma=0.5, in_M0=True)
     z = np.array([0.0, 0.0, 1.0])
-    assert theorem_bound(model, cst, 1.0, 1.0, 1.3, z) == pytest.approx(2.0, rel=1e-12)
+    assert theorem_bound(model, cst, 1.0, 1.3, z) == pytest.approx(2.0, rel=1e-12)
 
     cst0 = HyperstabConstants(m=2, u=2.0, v=-1.9, w=2.4, A=0.5, B=0.5, C=0.5,
                               P=0.5, sigma=0.0, in_M0=True)
-    assert theorem_bound(model, cst0, 1.0, 1.0, 1.3, z) == 0.0
+    assert theorem_bound(model, cst0, 1.0, 1.3, z) == 0.0
 
     vals = []
     for P in (0.1, 0.5, 0.9):
         cstP = HyperstabConstants(m=2, u=2.0, v=-1.9, w=2.4, A=P, B=P, C=P,
                                   P=P, sigma=0.5, in_M0=True)
-        vals.append(theorem_bound(model, cstP, 1.0, 1.0, 1.3, z))
+        vals.append(theorem_bound(model, cstP, 1.0, 1.3, z))
     assert vals[0] < vals[1] < vals[2]
 
     bad = HyperstabConstants(m=2, u=2.0, v=-1.9, w=2.4, A=1.2, B=0.5, C=0.5,
                              P=1.2, sigma=0.5, in_M0=False)
     with pytest.raises(ValueError):
-        theorem_bound(model, bad, 1.0, 1.0, 1.3, z)
+        theorem_bound(model, bad, 1.0, 1.3, z)
 
 
-def reference_config(eta=0.1, seed=7, m_values=(2, 3, 5)):
+SEED = 7
+
+
+def reference_config(eta=0.1, m_values=(2, 3, 5)):
     return ExperimentConfig(
         space=cross_2norm(), equation=EquationParams(1, 1, 2, 2),
         model=reference_model(),
         solution={"theta_coef": 1.0, "w": None, "direction": [1.0, 0.0, 0.0]},
         perturbation={"eta": eta, "exponent": -3.0, "mode": "ABS", "direction": [1.0, 0.0, 0.0]},
         grid=[0.5, 0.75, 1.0, 1.25, 1.5, 2.0], m_values=list(m_values), m_max=12,
-        witnesses=WITNESSES, qm_tol=1e-12, qm_n_max=60, residual_pairs=400, seed=seed,
+        witnesses=WITNESSES, qm_tol=1e-12, qm_n_max=60, residual_pairs=400,
     )
 
 
 def test_run_experiment_exact_input():
-    report = run_experiment(reference_config(eta=0.0))
+    report = run_experiment(reference_config(eta=0.0), SEED)
     assert report.feasible
     assert report.m0.min_member == 2
     for rec in report.per_m:
@@ -376,7 +380,7 @@ def test_run_experiment_exact_input():
 
 
 def test_run_experiment_perturbed_input():
-    report = run_experiment(reference_config(eta=0.1))
+    report = run_experiment(reference_config(eta=0.1), SEED)
     assert report.feasible
     sups = [rec["sup_f_minus_Qm"] for rec in report.per_m]
     # Q_m recovers f0 for every m, so the gap is the perturbation itself,
@@ -399,7 +403,7 @@ def test_run_experiment_bound_tables_hold_at_K_observed():
     for model in (reference_model(), zero):
         cfg = reference_config(eta=0.1)
         cfg.model = model
-        report = run_experiment(cfg)
+        report = run_experiment(cfg, SEED)
         assert [rec["m"] for rec in report.per_m] == [2, 3, 5]
         for rec in report.per_m:
             assert set(rec["bound_entries"][0]) == {"x", "witness", "lhs_pow_theta", "rhs_unit_K"}
@@ -411,7 +415,7 @@ def test_run_experiment_bound_tables_hold_at_K_observed():
 def test_run_experiment_infeasible_model():
     cfg = reference_config()
     cfg.model = reference_model(p1=0.0, p2=0.0, p3=0.0, p4=0.0, c3=1.0, c4=1.0)
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, SEED)
     assert not report.feasible
     assert report.per_m == []
     assert any("M0 is empty" in w for w in report.warnings)
@@ -420,13 +424,13 @@ def test_run_experiment_infeasible_model():
 def test_run_experiment_projection_fallback():
     cfg = reference_config()
     cfg.equation = EquationParams(1.0, 1.0, 3.0, 1.0)  # no exact continuous solution
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, SEED)
     assert any("projection f0 = 0" in w for w in report.warnings)
 
 
 def test_run_experiment_deterministic():
-    r1 = run_experiment(reference_config())
-    r2 = run_experiment(reference_config())
+    r1 = run_experiment(reference_config(), SEED)
+    r2 = run_experiment(reference_config(), SEED)
     assert r1 == r2
 
 
@@ -463,9 +467,9 @@ def test_run_experiment_asymmetric_equation():
         perturbation={"eta": 0.1, "exponent": -3.0, "mode": "ABS",
                       "direction": [1.0, 0.0, 0.0]},
         grid=[0.5, 1.0, 1.5, 2.0], m_values=[2, 3, 5], m_max=10, witnesses=WITNESSES,
-        qm_tol=1e-10, qm_n_max=60, residual_pairs=300, seed=13,
+        qm_tol=1e-10, qm_n_max=60, residual_pairs=300,
     )
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, 13)
     assert report.feasible
     by_m = {rec["m"]: rec for rec in report.per_m}
     assert 2 in by_m and not by_m[2]["qm"].converged
@@ -523,7 +527,7 @@ def test_experiment_config_wires_aux_space():
         "aux_space": {"family": "POWERED", "beta": 0.5, "kappa": 1.0,
                       "base": {"family": "CROSS_2NORM"}},
         "equation": {"a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0},
-        "error_model": {"alpha": 0.5, "components": [
+        "error_model": {"components": [
             {"c": 1.0, "p": -1.0, "y": [1.0, 1.0, 0.0]} for _ in range(4)]},
         "grid": [1.0, 2.0],
     }
@@ -532,7 +536,7 @@ def test_experiment_config_wires_aux_space():
     assert cfg.model.alpha == 0.5
     assert cfg.space.family == "CROSS_2NORM"
     # without aux_space the majorant is measured in the space itself
-    del d["aux_space"], d["error_model"]["alpha"]
+    del d["aux_space"]
     cfg = parse_config(json.dumps({"command": "HYPERSTAB", "payload": d})).inputs
     assert cfg.model.aux_space == cfg.space and cfg.model.alpha == 1.0
 
@@ -557,7 +561,10 @@ def test_error_model_fixed_linear_g_map():
 
 def test_error_model_validation_and_flags():
     model = reference_model()
-    assert model.feasibility_flags == {"p1+p2<0": True, "p3<0": True, "p4<0": True}
+    m0 = find_M0(EquationParams(1, 1, 2, 2), model, cross_2norm(), 3)
+    assert m0.limit_conditions == {"A": True, "B": True, "C": True}
+    m0 = find_M0(EquationParams(1, 1, 2, 2), reference_model(p1=1.0, p4=0.0), cross_2norm(), 3)
+    assert m0.limit_conditions == {"A": False, "B": True, "C": False}
     with pytest.raises(ValueError):
         ErrorModel(components=model.components[:3], aux_space=cross_2norm())
     assert same_model(parsed_model(model, {"family": "CROSS_2NORM"}), model)
@@ -655,7 +662,7 @@ def test_compute_Qm_without_witnesses_raises_instead_of_converging():
     qm = compute_Qm(eq, f, 2, [1.0], tol=1e-10, n_max=20, space=cross_2norm(),
                     witnesses=WITNESSES, residual_pairs=0, seed=0)
     assert not qm.converged
-    # further on the step stays finite while its norm overflows: named, not a warning
-    with pytest.raises(ValueError, match=r"step 48: non-finite iterate"):
-        compute_Qm(eq, f, 2, [1.0], tol=1e-10, n_max=50, space=cross_2norm(),
+    # further on the difference of iterates overflows: named, not a warning
+    with pytest.raises(ValueError, match=r"step 96: non-finite iterate"):
+        compute_Qm(eq, f, 2, [1.0], tol=1e-10, n_max=100, space=cross_2norm(),
                    witnesses=WITNESSES, residual_pairs=0, seed=0)

@@ -147,18 +147,18 @@ def test_theorem_bound_rows_equal_the_scalar_bound(aux):
     cst = HyperstabConstants(m=2, u=1.0, v=1.0, w=1.0, A=0.3, B=0.2, C=0.1, P=0.3,
                              sigma=0.7, in_M0=True)
     xs = [0.5, -0.75, 1.0, 1.25, 2.0]
-    for th, K in ((1.0, 1.0), (0.5, 2.5), (1.0 / 3.0, 0.75)):
-        got = theorem_bound_rows(model, cst, th, K, xs, WITNESSES)
-        oracle = [[K * cst.sigma ** th
+    for th in (1.0, 0.5, 1.0 / 3.0):
+        got = theorem_bound_rows(model, cst, th, xs, WITNESSES)
+        oracle = [[cst.sigma ** th
                    * (_h_oracle(model, 1, x ** 3, z) * _h_oracle(model, 2, x ** 3, z)
                       + _h_oracle(model, 3, x ** 3, z) + _h_oracle(model, 4, x ** 3, z)) ** th
                    / (1.0 - cst.P ** th) for z in WITNESSES] for x in xs]
         assert hexes(got) == hexes(oracle)
-        assert hexes(got) == hexes([[theorem_bound(model, cst, th, K, x, z) for z in WITNESSES]
+        assert hexes(got) == hexes([[theorem_bound(model, cst, th, x, z) for z in WITNESSES]
                                     for x in xs])
     with pytest.raises(ValueError, match="P < 1"):
         theorem_bound_rows(model, HyperstabConstants(2, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0,
-                                                     0.5, False), 1.0, 1.0, xs, WITNESSES)
+                                                     0.5, False), 1.0, xs, WITNESSES)
 
 
 def test_row_forms_keep_the_norm_checks():

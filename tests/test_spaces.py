@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbanach import spaces
-from qbanach.cli import parse_config
+from qbanach.cli import ConfigError, parse_config
 from qbanach.spaces import (AxiomViolations, SpaceDescriptor, check_axioms, cross_2norm,
                             estimate_kappa, eval_norm, eval_norm_rows, lp_cross, power_space,
                             scaled_space, space_from_dict, theta)
@@ -71,6 +71,45 @@ def test_scaled_space():
     s = scaled_space(cross_2norm(), 3.0)
     assert eval_norm(s, [1, 0, 0], [0, 1, 0]) == pytest.approx(3.0)
     assert s.kappa == 1.0
+
+
+def test_scaled_beta_is_its_base_beta():
+    # C * base(x, y) is homogeneous of its base's degree: a beta of its own
+    # (the schema's default 1.0 over a beta 0.5 base) fails B3 on most pairs
+    base = power_space(cross_2norm(), 0.5)
+    with pytest.raises(ValueError, match=r"SCALED beta = 1.0 must equal its base's beta = 0.5"):
+        SpaceDescriptor("SCALED", beta=1.0, factor=3.0, base=base)
+    doc = {"family": "SCALED", "factor": 3,
+           "base": {"family": "POWERED", "beta": 0.5, "base": {"family": "CROSS_2NORM"}}}
+    with pytest.raises(ConfigError, match=r"^payload\.space: SCALED beta = 1.0 must equal"):
+        parse_config(json.dumps({"command": "CHECK_SPACE", "payload": {"space": doc}}))
+    cfg = parse_config(json.dumps({"command": "CHECK_SPACE",
+                                   "payload": {"space": {**doc, "beta": 0.5}}}))
+    assert cfg.inputs["space"] == scaled_space(base, 3.0)
+    assert check_axioms(cfg.inputs["space"], 2000, 0).total_violations == 0
+
+
+def test_cross_norm_scales_rows_whose_squares_overflow():
+    # a cross product component past ~1.3e154 squares to inf: those rows are
+    # scaled by their largest component, and every other row keeps its bytes
+    rng = np.random.default_rng(3)
+    X, Y = rng.uniform(-1.0, 1.0, (2, 6, 3))
+    huge = [1, 4]
+    X[huge] *= 1e160
+    got = eval_norm_rows(cross_2norm(), X, Y)
+    small = np.ones(6, dtype=bool)
+    small[huge] = False
+    c0, c1, c2 = np.cross(X[small], Y[small]).T
+    assert got[small].tolist() == np.sqrt(c0 * c0 + c1 * c1 + c2 * c2).tolist()
+    scaled = 1e160 * np.linalg.norm(np.cross(X[huge] / 1e160, Y[huge]), axis=1)
+    assert got[huge] == pytest.approx(scaled, rel=1e-15)
+    assert eval_norm_rows(power_space(cross_2norm(), 0.5), X, Y)[huge] == pytest.approx(
+        np.sqrt(scaled), rel=1e-15)
+    # inf only when the length itself passes the float range
+    big = np.array([[1.5e308, 1.5e308, 0.0]])
+    assert eval_norm_rows(cross_2norm(), big, np.array([[0.0, 0.0, 1.0]])).tolist() == [np.inf]
+    assert eval_norm_rows(cross_2norm(), big / 2, np.array([[0.0, 0.0, 1.0]])) == pytest.approx(
+        1.5e308 / np.sqrt(2.0), rel=1e-15)
 
 
 def test_every_space_is_on_R3_with_no_dim_field():
