@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import hyperstab as hs
-from .envelope import check_p_triangle, envelope_norm_rows
+from .envelope import MAX_BUDGET, SEARCH_BLOCK, check_p_triangle, envelope_norm_rows
 from .fixedpoint import Branch, IterationSpec, ScalarErrorFn, iterate, load_sample_grid
 # admissibility is not called here but stays bound: bench/tracer.py wraps it
 # in every namespace, cli's included, and its test checks that binding
@@ -135,11 +135,12 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "space": _SPACE_REF,
-            # O(trials) memory; at budget 12 a trial takes ~0.3 ms and a
-            # certificate sample ~0.1 ms, at budget 40 ~11 ms and ~4 ms
+            # O(block) memory at any count, so time bounds them; at budget
+            # 16 a trial takes ~20 us and a certificate sample ~15 us
             "trials": {"type": "integer", "minimum": 1, "maximum": 100_000},
             "certificate_samples": {"type": "integer", "minimum": 0, "maximum": 100_000},
-            "budget": {"type": "integer", "minimum": 1, "maximum": 40},
+            # the single term and the coordinate-frame splits: 16 candidates
+            "budget": {"type": "integer", "minimum": 1, "maximum": MAX_BUDGET},
         },
         "required": ["space"],
         "additionalProperties": False,
@@ -522,19 +523,19 @@ def _run_envelope(inputs, seed):
     budget = inputs["budget"]
     n_samples = inputs["certificate_samples"]
     rng = np.random.default_rng(seed)
-    # same stream as drawing x, then z, sample by sample
-    XZ = hs.stage("draw_samples", rng.uniform, -5.0, 5.0, (n_samples, 2, space.dim))
-    X, Z = XZ[:, 0], XZ[:, 1]
-    results = hs.stage("envelope_norm_rows", envelope_norm_rows, space, X, Z, budget,
-                       [seed + i for i in range(n_samples)])
     cert_failures = 0
     worst_gap = 0.0
-    for x, base, res in zip(X, eval_norm_rows(space, X, Z).tolist(), results):
-        parts = np.asarray(res.certificate)
-        gap = float(np.abs(parts.sum(axis=0) - x).max())
-        worst_gap = max(worst_gap, gap)
-        if gap > 1e-9 * (1.0 + np.abs(x).max()) or res.value > base + 1e-12 * (1.0 + base):
-            cert_failures += 1
+    for lo in range(0, n_samples, SEARCH_BLOCK):
+        # same stream as drawing x, then z, sample by sample
+        XZ = rng.uniform(-5.0, 5.0, (min(SEARCH_BLOCK, n_samples - lo), 2, space.dim))
+        X, Z = XZ[:, 0], XZ[:, 1]
+        results = hs.stage("envelope_norm_rows", envelope_norm_rows, space, X, Z, budget)
+        for x, base, res in zip(X, eval_norm_rows(space, X, Z).tolist(), results):
+            parts = np.asarray(res.certificate)
+            gap = float(np.abs(parts.sum(axis=0) - x).max())
+            worst_gap = max(worst_gap, gap)
+            if gap > 1e-9 * (1.0 + np.abs(x).max()) or res.value > base + 1e-12 * (1.0 + base):
+                cert_failures += 1
     tri = hs.stage("check_p_triangle", check_p_triangle, space, inputs["trials"], seed,
                    budget=budget)
     body = {"certificate_failures": cert_failures, "worst_sum_gap": worst_gap,

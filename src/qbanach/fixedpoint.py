@@ -326,7 +326,7 @@ def _term_iterates(spec: IterationSpec, phi: VectorFunction, sample_xs):
                              "(the iteration diverges)")
         psi = VectorFunction(terms=[replace(t, coef=t.coef * mu)
                                     for t, mu in zip(psi.terms, mults)], constant=constant)
-        yield psi, [psi(x) for x in sample_xs]
+        yield psi, psi.rows(sample_xs)
 
 
 def _multinomial_terms(branches: Sequence[Branch], n: int):

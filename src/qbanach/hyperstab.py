@@ -364,7 +364,7 @@ def compute_Qm(eq: EquationParams, f: VectorFunction, m: int, grid: Sequence[flo
     witnesses = [_as_vector(wv, f.dim) for wv in witnesses]
     Qm, qvals, iterations, converged = _converge(
         _term_iterates(radical_iteration_spec(eq, m, space), f, grid), f,
-        [f(x) for x in grid], space, witnesses, tol, n_max)
+        f.rows(grid), space, witnesses, tol, n_max)
     residuals, _, _ = residual_check(eq, Qm, min(map(abs, grid)), max(map(abs, grid)),
                                      residual_pairs, np.random.default_rng(seed))
     return QmResult(values=[v.tolist() for v in qvals], iterations=iterations,

@@ -192,8 +192,8 @@ def eval_norm_rows(space: SpaceDescriptor, X: np.ndarray, Y: np.ndarray) -> np.n
     """Vectorized norm evaluation over paired rows of (n, dim) arrays."""
     # component sums run left to right, as numpy's sum over a length-3 axis does
     if space.family == "CROSS_2NORM":
-        c0, c1, c2 = _cross_rows(X, Y)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a cross product past the float range is inf
+            c0, c1, c2 = _cross_rows(X, Y)
             out = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
         big = np.isinf(out)
         if np.count_nonzero(big):  # faster than big.any() on a few rows
@@ -205,9 +205,10 @@ def eval_norm_rows(space: SpaceDescriptor, X: np.ndarray, Y: np.ndarray) -> np.n
                 out[big] = np.where(np.isinf(top), np.inf, top * np.sqrt(((C / top) ** 2).sum(0)))
         return out
     if space.family == "LP_CROSS":
-        c0, c1, c2 = _cross_rows(X, Y)
-        p = space.p
-        return (np.abs(c0) ** p + np.abs(c1) ** p + np.abs(c2) ** p) ** (1.0 / p)
+        with np.errstate(over="ignore"):
+            c0, c1, c2 = _cross_rows(X, Y)
+            p = space.p
+            return (np.abs(c0) ** p + np.abs(c1) ** p + np.abs(c2) ** p) ** (1.0 / p)
     if space.family == "POWERED":
         return eval_norm_rows(space.base, X, Y) ** space.beta
     if space.family == "SCALED":

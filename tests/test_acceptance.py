@@ -64,9 +64,9 @@ def test_criterion_3_theta_and_envelope():
         space = spaces[i % len(spaces)]
         x = rng.uniform(-3.0, 3.0, 3)
         z = rng.uniform(-3.0, 3.0, 3)
-        res = envelope_norm(space, x, z, budget=12, seed=i)
+        res = envelope_norm(space, x, z, budget=12)
         parts = np.asarray(res.certificate)
-        assert parts.shape[0] <= 8
+        assert parts.shape[0] <= 2
         assert np.abs(parts.sum(axis=0) - x).max() <= 1e-9 * (1 + np.abs(x).max())
         r = res.p / space.beta
         recomputed = sum(eval_norm(space, prt, z) ** r for prt in parts) ** (1 / r)

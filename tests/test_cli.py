@@ -944,10 +944,10 @@ def test_run_config_inputs_follow_the_payload():
 
 
 def test_envelope_counts_past_the_bound_are_refused_at_parse(tmp_path, capsys):
-    # the p-triangle check holds O(trials) memory: 10^8 trials would take
-    # ~20 GB and ~10 h; the draw of 10^15 certificate samples needs 48 PB
+    # memory is O(block), so time bounds the counts: 10^8 trials would take
+    # ~30 min; a budget past 16 has no candidate left
     for key, value, bound in [("trials", 10 ** 8, 100_000),
-                              ("certificate_samples", 10 ** 15, 100_000), ("budget", 41, 40)]:
+                              ("certificate_samples", 10 ** 15, 100_000), ("budget", 17, 16)]:
         payload = {"space": {"family": "CROSS_2NORM"}, key: value}
         assert _cli_main("ENVELOPE", payload, tmp_path) == 1
         assert capsys.readouterr().err == f"error: payload.{key}: must be <= {bound}\n"

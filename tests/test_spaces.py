@@ -112,6 +112,13 @@ def test_cross_norm_scales_rows_whose_squares_overflow():
         1.5e308 / np.sqrt(2.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("space", [cross_2norm(), lp_cross(0.5)], ids=["CROSS_2NORM", "LP_CROSS"])
+def test_a_cross_product_past_the_float_range_is_inf_without_a_warning(space):
+    # 1e200 * 1e200 overflows inside the cross product; pytest's settings make
+    # RuntimeWarning an error, so a warning fails this test
+    assert eval_norm(space, [1e200, 0, 0], [0, 1e200, 0]) == np.inf
+
+
 def test_every_space_is_on_R3_with_no_dim_field():
     # a dim other than 3 could only fail: SCALED dim 2 over the R^3 cross norm
     # was once accepted, and check_axioms then sampled 3-vectors
